@@ -5,11 +5,15 @@ Both backends run the identical DSATUR backtracking search and visit the
 same number of nodes, so the ratio is pure interpreter overhead.  Run:
 
     python benchmarks/bench_kernel.py
+
+It exits 1 when the compiled kernel is not built, since there is then
+nothing to compare.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 
 from conjtri import _core_py
@@ -91,8 +95,12 @@ def run(backend, n, edges, k, repeats=3):
 
 def main():
     if _core is None:
-        print("compiled kernel unavailable; build the extension first")
-        return
+        print(
+            "compiled kernel unavailable; build it with "
+            "`python setup.py build_ext --inplace`",
+            file=sys.stderr,
+        )
+        return 1
     header = f"{'case':<38} {'nodes':>10} {'pure s':>9} {'compiled s':>11} {'speedup':>8}"
     print(header)
     print("-" * len(header))
@@ -112,7 +120,8 @@ def main():
         f"{'total':<38} {'':>10} {total_pure:>9.4f} {total_fast:>11.4f} "
         f"{total_pure / total_fast:>7.1f}x"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2726,7 +2726,7 @@ static int __pyx_f_7conjtri_5_core__recurse(struct __pyx_t_7conjtri_5_core_Searc
  *     v = best
  *     cap = used_max + 1             # <<<<<<<<<<<<<<
  *     limit = st.k - 1 if cap >= st.k else cap
- *     avail = (~st.sat[v]) & ((<uint64_t>1 << (limit + 1)) - 1)
+ *     avail = (~st.sat[v]) & (~(<uint64_t>0) >> (63 - limit))
 */
   __pyx_v_cap = (__pyx_v_used_max + 1);
 
@@ -2734,7 +2734,7 @@ static int __pyx_f_7conjtri_5_core__recurse(struct __pyx_t_7conjtri_5_core_Searc
  *     v = best
  *     cap = used_max + 1
  *     limit = st.k - 1 if cap >= st.k else cap             # <<<<<<<<<<<<<<
- *     avail = (~st.sat[v]) & ((<uint64_t>1 << (limit + 1)) - 1)
+ *     avail = (~st.sat[v]) & (~(<uint64_t>0) >> (63 - limit))
  *     while avail:
 */
   __pyx_t_1 = (__pyx_v_cap >= __pyx_v_st->k);
@@ -2748,15 +2748,15 @@ static int __pyx_f_7conjtri_5_core__recurse(struct __pyx_t_7conjtri_5_core_Searc
   /* "conjtri/_core.pyx":56
  *     cap = used_max + 1
  *     limit = st.k - 1 if cap >= st.k else cap
- *     avail = (~st.sat[v]) & ((<uint64_t>1 << (limit + 1)) - 1)             # <<<<<<<<<<<<<<
+ *     avail = (~st.sat[v]) & (~(<uint64_t>0) >> (63 - limit))             # <<<<<<<<<<<<<<
  *     while avail:
  *         c = __builtin_popcountll((avail & (~avail + 1)) - 1)
 */
-  __pyx_v_avail = ((~(__pyx_v_st->sat[__pyx_v_v])) & ((((uint64_t)1) << (__pyx_v_limit + 1)) - 1));
+  __pyx_v_avail = ((~(__pyx_v_st->sat[__pyx_v_v])) & ((~((uint64_t)0)) >> (63 - __pyx_v_limit)));
 
   /* "conjtri/_core.pyx":57
  *     limit = st.k - 1 if cap >= st.k else cap
- *     avail = (~st.sat[v]) & ((<uint64_t>1 << (limit + 1)) - 1)
+ *     avail = (~st.sat[v]) & (~(<uint64_t>0) >> (63 - limit))
  *     while avail:             # <<<<<<<<<<<<<<
  *         c = __builtin_popcountll((avail & (~avail + 1)) - 1)
  *         avail &= avail - 1
@@ -2766,7 +2766,7 @@ static int __pyx_f_7conjtri_5_core__recurse(struct __pyx_t_7conjtri_5_core_Searc
     if (!__pyx_t_1) break;
 
     /* "conjtri/_core.pyx":58
- *     avail = (~st.sat[v]) & ((<uint64_t>1 << (limit + 1)) - 1)
+ *     avail = (~st.sat[v]) & (~(<uint64_t>0) >> (63 - limit))
  *     while avail:
  *         c = __builtin_popcountll((avail & (~avail + 1)) - 1)             # <<<<<<<<<<<<<<
  *         avail &= avail - 1

@@ -53,7 +53,7 @@ cdef int _recurse(SearchState *st, int uncolored, int used_max):
     v = best
     cap = used_max + 1
     limit = st.k - 1 if cap >= st.k else cap
-    avail = (~st.sat[v]) & ((<uint64_t>1 << (limit + 1)) - 1)
+    avail = (~st.sat[v]) & (~(<uint64_t>0) >> (63 - limit))
     while avail:
         c = __builtin_popcountll((avail & (~avail + 1)) - 1)
         avail &= avail - 1

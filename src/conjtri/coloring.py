@@ -2,6 +2,8 @@
 
 The exact searches are DSATUR-ordered backtracking with the first greedy
 clique pinned for symmetry breaking, run on the selected kernel backend.
+The edge chromatic number is first bounded by the parity lemma, so search
+runs only for the values no theorem settles.
 Search budgets never produce wrong answers: an exhausted budget yields an
 indeterminate result carrying the best proven bounds.
 """
@@ -53,6 +55,8 @@ class ChromaticResult:
     ``value`` is None when the search budget ran out; ``lower``/``upper``
     are then the best proven bounds.  ``nodes`` counts search-tree nodes
     over all decision calls, so it is identical across kernel backends.
+    ``certificate`` names the theorem that raised ``lower`` above what the
+    search would start from ("parity"), or is None.
     """
 
     value: Optional[int]
@@ -61,6 +65,7 @@ class ChromaticResult:
     witness: Optional[object]
     nodes: int
     elapsed: float
+    certificate: Optional[str] = None
 
     @property
     def exact(self) -> bool:
@@ -205,8 +210,11 @@ def chromatic_number(
     max_vertices: int = DEFAULT_VERTEX_CAP,
     node_budget: int = 0,
     deadline: float = 0.0,
+    *,
+    lower_bound: int = 0,
 ) -> ChromaticResult:
-    """Exact chromatic number by iterative deepening from the greedy clique size."""
+    """Exact chromatic number by iterative deepening from the greedy clique
+    size, or from ``lower_bound`` when the caller has proven a larger one."""
     if g.vertex_count > max_vertices:
         raise SizeLimitError(
             f"vertex coloring capped at {max_vertices} vertices, got {g.vertex_count}"
@@ -221,7 +229,7 @@ def chromatic_number(
             1, 1, 1, VertexColoring((0,) * n, 1), 0, time.perf_counter() - t0
         )
     clique = greedy_clique(g)
-    lb = max(2, len(clique))
+    lb = max(2, len(clique), lower_bound)
     pinned = [-1] * n
     for c, v in enumerate(clique):
         pinned[v] = c
@@ -255,20 +263,47 @@ def chromatic_number(
     raise AssertionError("greedy upper bound was not reached")
 
 
+def parity_proves_class_two(g: UndirectedGraph) -> bool:
+    """True when the parity lemma (Isaacs, 1975) rules out a Delta-edge-coloring.
+
+    A color class of a Delta-edge-coloring is a matching that covers every
+    degree-Delta vertex and exactly the lower-degree vertices that see its
+    color, so it covers an even number of vertices.  That is impossible if
+    all non-isolated vertices have degree Delta and there is an odd number
+    of them, or if exactly one non-isolated vertex has lower degree: a color
+    it misses and a color it sees would cover vertex sets whose sizes differ
+    by one.  With Vizing's theorem, chi = Delta + 1 whenever this holds.
+    """
+    degrees = [d for d in g.degrees if d]
+    if not degrees:
+        return False
+    top = max(degrees)
+    low = sum(1 for d in degrees if d < top)
+    return low == 1 or (low == 0 and len(degrees) % 2 == 1)
+
+
 def chromatic_class(
     g: UndirectedGraph,
     max_edges: int = DEFAULT_EDGE_CAP,
     node_budget: int = 0,
     deadline: float = 0.0,
 ) -> ChromaticResult:
-    """Exact edge chromatic number, solved as vertex coloring of the line graph."""
+    """Exact edge chromatic number, solved as vertex coloring of the line graph.
+
+    When the parity lemma proves chi = Delta + 1, the search starts there,
+    so the refutation of Delta colors is never run."""
     if g.edge_count > max_edges:
         raise SizeLimitError(
             f"edge coloring capped at {max_edges} edges, got {g.edge_count}"
         )
     lg = line_graph_of(g)
+    parity = parity_proves_class_two(g)
     result = chromatic_number(
-        lg.graph, max_vertices=max_edges, node_budget=node_budget, deadline=deadline
+        lg.graph,
+        max_vertices=max_edges,
+        node_budget=node_budget,
+        deadline=deadline,
+        lower_bound=max(g.degrees) + 1 if parity else 0,
     )
     witness = None
     if result.witness is not None:
@@ -278,7 +313,13 @@ def chromatic_class(
             vc.palette_size,
         )
     return ChromaticResult(
-        result.value, result.lower, result.upper, witness, result.nodes, result.elapsed
+        result.value,
+        result.lower,
+        result.upper,
+        witness,
+        result.nodes,
+        result.elapsed,
+        "parity" if parity else None,
     )
 
 

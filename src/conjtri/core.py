@@ -13,6 +13,9 @@ SAT = 1
 UNSAT = 0
 ABORTED = -1
 
+# Most vertices and colors either kernel accepts (one bit each in a uint64).
+KERNEL_LIMIT = 64
+
 if os.environ.get("CONJTRI_PURE"):
     from . import _core_py as _impl
 

@@ -115,6 +115,12 @@ class ScanConfig:
             raise ValueError("timeout_ms must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        for name in ("max_vertices", "max_edges"):
+            if getattr(self, name) > core.KERNEL_LIMIT:
+                raise ValueError(
+                    f"{name} {getattr(self, name)} exceeds the search kernel "
+                    f"limit of {core.KERNEL_LIMIT}"
+                )
         if self.recipe is not None:
             if self.recipe.max_edges_bound() > self.max_edges:
                 raise ValueError(
@@ -376,6 +382,11 @@ def evaluate_instance(
 
     if "H11" in hypotheses:
         verdict, detail = _threshold_verdict(chi, EDGE_COLOR_TARGET, "chi")
+        if chi.certificate == "parity":
+            if chi.exact:
+                detail += " (parity lemma lower bound, Vizing upper bound)"
+            else:
+                detail += f"; parity lemma lower bound {chi.lower}"
         if verdict == "pass":
             if chi.witness is not None:
                 ec = chi.witness

@@ -325,6 +325,13 @@ class TestScanAndGen:
         assert cli.main(["scan"]) == 2
         assert "needs --gen or --input" in capsys.readouterr().err
 
+    def test_scan_cap_above_kernel_limit_is_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = ["scan", "--gen", "--inserts", "0", "--max-n", "80"]
+        assert cli.main(argv + ["--output", str(report)]) == 1
+        assert "limit of 64" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_scan_unknown_hypothesis_is_usage_error(self, tmp_path, capsys):
         path = _write_graph(tmp_path / "c4.conj", _c4())
         assert (

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conjtri import core
+from conjtri import _core_py, core
+from conjtri.construct import line_graph_of
 from conjtri.graphs import SizeLimitError, UndirectedGraph
 from conjtri.coloring import (
     EdgeColoring,
@@ -19,6 +20,7 @@ from conjtri.coloring import (
     greedy_clique,
     greedy_coloring,
     is_k_colorable,
+    parity_proves_class_two,
     verify_edge_coloring,
     verify_vertex_coloring,
 )
@@ -144,6 +146,108 @@ class TestChromaticClass:
         k7 = UndirectedGraph(7, list(itertools.combinations(range(7), 2)))
         res = chromatic_class(k7)
         assert res.value == 7  # odd complete graphs exceed their degree
+
+
+def random_two_four_graph(rng, n_max=8):
+    """Simple graph with every degree 2 or 4, from a rejected configuration
+    model: stubs are paired at random until no loop or parallel edge appears."""
+    while True:
+        n = rng.randrange(3, n_max + 1)
+        degrees = [rng.choice((2, 4)) for _ in range(n)]
+        stubs = [v for v, d in enumerate(degrees) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == len(stubs) // 2 and all(u != v for u, v in pairs):
+            return UndirectedGraph(n, sorted(pairs))
+
+
+def _kernel(impl_name):
+    if impl_name == "pure":
+        return _core_py
+    try:
+        from conjtri import _core  # type: ignore[attr-defined]
+    except ImportError:
+        pytest.skip("compiled kernel not built")
+    return _core
+
+
+class TestParityCertificate:
+    def test_sound_on_connected_atlas_graphs(self):
+        fired = 0
+        for n, edges in oracles.connected_atlas_graphs():
+            g = UndirectedGraph(n, edges)
+            if not parity_proves_class_two(g):
+                continue
+            fired += 1
+            want = max(g.degrees) + 1
+            assert oracles.edge_chromatic_inclusion_exclusion(n, edges) == want, edges
+            res = chromatic_class(g)
+            assert (res.value, res.certificate) == (want, "parity")
+        assert fired == 18
+
+    def test_sound_on_random_two_four_graphs(self):
+        rng = random.Random(53)
+        fired = 0
+        for _ in range(80):
+            g = random_two_four_graph(rng)
+            want = oracles.edge_chromatic_inclusion_exclusion(
+                g.vertex_count, list(g.edges)
+            )
+            res = chromatic_class(g)
+            assert res.value == want
+            if parity_proves_class_two(g):
+                fired += 1
+                assert want == max(g.degrees) + 1
+                assert res.certificate == "parity"
+            else:
+                assert res.certificate is None
+        assert fired > 10
+
+    def test_two_four_rule(self, named_graphs):
+        def subdivided(g, times):
+            # Put one degree-2 vertex on each of the first ``times`` edges.
+            n, edges = g.vertex_count, list(g.edges)
+            for i in range(times):
+                u, v = edges[i]
+                edges[i] = (u, n + i)
+                edges.append((n + i, v))
+            return UndirectedGraph(n + times, edges)
+
+        k5, octa = named_graphs["k5"], named_graphs["octahedron"]
+        assert parity_proves_class_two(k5)  # |V2| = 0, |V4| = 5
+        assert not parity_proves_class_two(octa)  # |V2| = 0, |V4| = 6
+        assert parity_proves_class_two(subdivided(octa, 1))  # |V2| = 1
+        assert parity_proves_class_two(subdivided(k5, 1))
+        assert not parity_proves_class_two(subdivided(octa, 2))
+        assert parity_proves_class_two(named_graphs["c5"])
+        assert not parity_proves_class_two(named_graphs["c4"])
+        assert not parity_proves_class_two(UndirectedGraph(3, []))
+        assert chromatic_class(subdivided(octa, 1)).value == 5
+
+    @pytest.mark.parametrize("impl_name", ["pure", "compiled"])
+    def test_k5_skips_the_four_color_refutation(self, impl_name, monkeypatch):
+        monkeypatch.setattr(core, "decide_coloring", _kernel(impl_name).decide_coloring)
+        k5 = UndirectedGraph(5, list(itertools.combinations(range(5), 2)))
+        res = chromatic_class(k5)
+        assert (res.value, res.lower, res.upper) == (5, 5, 5)
+        assert res.certificate == "parity"
+        assert verify_edge_coloring(k5, res.witness) == []
+        # Only the k = 5 decision ran: its node count is all there is.
+        lg = line_graph_of(k5).graph
+        _, _, five_nodes = decide_k_coloring(lg, 5)
+        assert res.nodes == five_nodes
+        assert chromatic_number(lg).nodes > res.nodes
+
+    def test_k5_node_count_is_backend_independent(self, monkeypatch):
+        k5 = UndirectedGraph(5, list(itertools.combinations(range(5), 2)))
+        counts = []
+        for impl_name in ("pure", "compiled"):
+            monkeypatch.setattr(
+                core, "decide_coloring", _kernel(impl_name).decide_coloring
+            )
+            res = chromatic_class(k5)
+            counts.append((res.nodes, res.witness))
+        assert counts[0] == counts[1]
 
 
 class TestBounds:

@@ -103,6 +103,44 @@ class TestBackendParity:
         assert a == b
 
 
+def _complete_masks(n: int) -> list[int]:
+    full = (1 << n) - 1
+    return [full & ~(1 << v) for v in range(n)]
+
+
+class TestBoundaryParity:
+    """The kernels accept n, k <= 64; the top of that range needs all 64
+    bits of a color mask, so both twins must agree there too."""
+
+    @pytest.mark.parametrize("n", [63, 64])
+    @pytest.mark.parametrize("k", [63, 64])
+    def test_complete_graph(self, n, k):
+        a, b = _both(n, _complete_masks(n), k, [-1] * n)
+        assert a == b
+        status, witness, nodes = a
+        if k >= n:
+            assert status == core.SAT and sorted(witness) == list(range(n))
+            assert nodes == n
+        else:
+            assert (status, witness) == (core.UNSAT, None)
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_top_color_pinned(self, n):
+        pinned = [-1] * n
+        pinned[n - 1] = 63
+        a, b = _both(n, _complete_masks(n), 64, pinned)
+        assert a == b
+        assert a[0] == core.SAT and a[1][n - 1] == 63
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_sparse_graph_many_colors(self, n):
+        rng = random.Random(409 + n)
+        masks = _random_masks(n, 0.1, rng)
+        for k in (63, 64):
+            a, b = _both(n, masks, k, [-1] * n)
+            assert a == b and a[0] == core.SAT
+
+
 class TestKernelContract:
     """Edge cases both backends must honour."""
 

@@ -11,6 +11,7 @@ import pytest
 from conjtri.coloring import ChromaticResult, verify_vertex_coloring
 from conjtri.graphio import parse_graph_file, serialize_graph_file
 from conjtri.graphs import UndirectedGraph
+from conjtri import scan as scan_module
 from conjtri.scan import (
     GenRecipe,
     HYPOTHESES,
@@ -95,6 +96,12 @@ class TestScanConfig:
     def test_rejects_recipe_exceeding_caps(self):
         with pytest.raises(ValueError):
             ScanConfig(recipe=GenRecipe(inserts=(20,)), max_edges=60)
+
+    @pytest.mark.parametrize("name", ["max_vertices", "max_edges"])
+    def test_rejects_caps_above_the_kernel_limit(self, name):
+        with pytest.raises(ValueError, match=f"{name} 65 .* limit of 64"):
+            ScanConfig(source_files=("x.conj",), **{name: 65})
+        ScanConfig(source_files=("x.conj",), **{name: 64})
 
     def test_node_budget_is_deterministic_time_metering(self):
         cfg = ScanConfig(recipe=SMALL_RECIPE, timeout_ms=250)
@@ -194,6 +201,36 @@ class TestEvaluateInstance:
         assert rec.hypotheses["H10"]["verdict"] == "fail"
         assert "exhaustive oracle confirms gamma = 5" in rec.hypotheses["H10"]["detail"]
         assert rec.hypotheses["H11"]["verdict"] == "pass"  # chi(K5) = 5 <= 6
+
+    def test_parity_lemma_settles_chi_without_refutation(self):
+        rec = evaluate_instance("k5", _blob(_k5()), ("H11",), 2000, 60, 60)
+        assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
+        assert rec.hypotheses["H11"] == {
+            "verdict": "pass",
+            "detail": "chi = 5 <= 6 (parity lemma lower bound, Vizing upper bound)",
+        }
+
+    def test_parity_note_survives_an_exhausted_budget(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "NODES_PER_MS", 1)  # one node per decision
+        rec = evaluate_instance("k5", _blob(_k5()), ("H11",), 1, 60, 60)
+        assert rec.chi["value"] is None and rec.chi["lower"] == 5
+        assert rec.hypotheses["H11"]["detail"].endswith("; parity lemma lower bound 5")
+
+    def test_no_parity_note_when_the_lemma_is_silent(self):
+        rec = evaluate_instance("octa", _blob(_octahedron()), ("H11",), 2000, 60, 60)
+        assert rec.hypotheses["H11"]["detail"] == "chi = 4 <= 6"
+
+    def test_formerly_indeterminate_instance_is_exact(self):
+        # Refuting a 4-edge-coloring used up the whole node budget here and
+        # left chi in [4, 5]; with one degree-2 vertex the lemma settles it.
+        recipe = GenRecipe(inserts=(9,), subdivisions=(1,), replicates=1)
+        [(iid, ct)] = generate_corpus(recipe)
+        assert iid == "gen-i9-s1-r0"
+        blob = serialize_graph_file(ct.graph, ct.rotation)
+        rec = evaluate_instance(iid, blob, HYPOTHESES, 5000, 64, 64)
+        assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
+        assert "parity lemma" in rec.hypotheses["H11"]["detail"]
+        assert rec.nodes["chi"] < 1000
 
     def test_invalid_instance_skips_everything(self):
         k4 = UndirectedGraph(4, list(itertools.combinations(range(4), 2)))
