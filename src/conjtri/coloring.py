@@ -10,13 +10,14 @@ indeterminate result carrying the best proven bounds.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import core
 from .graphs import SizeLimitError, UndirectedGraph, connected_components
-from .construct import line_graph_of
+from .construct import LineGraphResult, line_graph_of
 
 DEFAULT_VERTEX_CAP = 60
 DEFAULT_EDGE_CAP = 60
@@ -72,13 +73,6 @@ class ChromaticResult:
         return self.value is not None
 
 
-@dataclass(frozen=True)
-class ColoringReport:
-    gamma: ChromaticResult
-    chi: ChromaticResult
-    bounds: Bounds
-
-
 def _neighbor_masks(g: UndirectedGraph) -> list[int]:
     masks = [0] * g.vertex_count
     for u, v in g.edges:
@@ -98,17 +92,25 @@ def greedy_clique(g: UndirectedGraph) -> tuple[int, ...]:
 
 
 def smallest_last_order(g: UndirectedGraph) -> list[int]:
-    n = g.vertex_count
+    """Repeatedly remove the vertex of least remaining degree, smallest id
+    first, and return the removal order reversed.  A lazy heap keyed by
+    (degree, id) finds each minimum.  Degrees only fall, so a vertex's
+    current entry pops before its stale ones, which are then skipped."""
     deg = list(g.degrees)
-    removed = [False] * n
+    removed = [False] * g.vertex_count
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
-    for _ in range(n):
-        v = min((x for x in range(n) if not removed[x]), key=lambda x: (deg[x], x))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
         removed[v] = True
         order.append(v)
         for w in g.adjacency[v]:
             if not removed[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     order.reverse()
     return order
 
@@ -127,8 +129,11 @@ def greedy_coloring(g: UndirectedGraph) -> VertexColoring:
     return VertexColoring(tuple(colors), top + 1)
 
 
-def coloring_bounds(g: UndirectedGraph) -> Bounds:
-    """Brooks, Shannon and greedy upper bounds for the vertex/edge problems."""
+def coloring_bounds(
+    g: UndirectedGraph, greedy: Optional[VertexColoring] = None
+) -> Bounds:
+    """Brooks, Shannon and greedy upper bounds for the vertex/edge problems.
+    ``greedy`` is ``greedy_coloring(g)`` when the caller already has it."""
     rho = max(g.degrees, default=0)
     brooks = rho
     for block in connected_components(g):
@@ -139,21 +144,15 @@ def coloring_bounds(g: UndirectedGraph) -> Bounds:
             brooks = rho + 1  # odd cycle component
             break
     shannon = (3 * rho) // 2
-    greedy = greedy_coloring(g).palette_size
-    return Bounds(brooks=brooks, shannon=shannon, greedy=greedy)
+    if greedy is None:
+        greedy = greedy_coloring(g)
+    return Bounds(brooks=brooks, shannon=shannon, greedy=greedy.palette_size)
 
 
 def _decide(
-    g: UndirectedGraph,
-    k: int,
-    pinned: Optional[list[int]] = None,
-    node_budget: int = 0,
-    deadline: float = 0.0,
+    g: UndirectedGraph, k: int, pinned: list[int], node_budget: int
 ) -> tuple[int, Optional[list[int]], int]:
-    masks = _neighbor_masks(g)
-    if pinned is None:
-        pinned = [-1] * g.vertex_count
-    return core.decide_coloring(g.vertex_count, masks, k, pinned, node_budget, deadline)
+    return core.decide_coloring(g.vertex_count, _neighbor_masks(g), k, pinned, node_budget)
 
 
 def decide_k_coloring(
@@ -161,7 +160,6 @@ def decide_k_coloring(
     k: int,
     max_vertices: int = DEFAULT_VERTEX_CAP,
     node_budget: int = 0,
-    deadline: float = 0.0,
 ) -> tuple[int, Optional[VertexColoring], int]:
     """Three-way k-colorability decision: (core.SAT / UNSAT / ABORTED,
     witness or None, nodes searched).  The first greedy clique is pinned
@@ -178,7 +176,7 @@ def decide_k_coloring(
     pinned = [-1] * g.vertex_count
     for c, v in enumerate(clique):
         pinned[v] = c
-    status, colors, nodes = _decide(g, k, pinned, node_budget, deadline)
+    status, colors, nodes = _decide(g, k, pinned, node_budget)
     witness = VertexColoring(tuple(colors), k) if status == core.SAT else None
     return status, witness, nodes
 
@@ -188,14 +186,13 @@ def is_k_colorable(
     k: int,
     max_vertices: int = DEFAULT_VERTEX_CAP,
     node_budget: int = 0,
-    deadline: float = 0.0,
 ) -> Optional[VertexColoring]:
     """Exact search for a proper k-coloring; None means none exists.
 
     Raises SizeLimitError above ``max_vertices`` and SearchBudgetExceeded
     when the budget runs out before an answer is proven.
     """
-    status, witness, _ = decide_k_coloring(g, k, max_vertices, node_budget, deadline)
+    status, witness, _ = decide_k_coloring(g, k, max_vertices, node_budget)
     if status == core.ABORTED:
         raise SearchBudgetExceeded(f"{k}-colorability undecided within budget")
     return witness
@@ -209,12 +206,14 @@ def chromatic_number(
     g: UndirectedGraph,
     max_vertices: int = DEFAULT_VERTEX_CAP,
     node_budget: int = 0,
-    deadline: float = 0.0,
     *,
     lower_bound: int = 0,
+    greedy: Optional[VertexColoring] = None,
 ) -> ChromaticResult:
     """Exact chromatic number by iterative deepening from the greedy clique
-    size, or from ``lower_bound`` when the caller has proven a larger one."""
+    size, or from ``lower_bound`` when the caller has proven a larger one.
+    ``greedy`` is ``greedy_coloring(g)`` when the caller already has it; it
+    is the upper bound and its witness."""
     if g.vertex_count > max_vertices:
         raise SizeLimitError(
             f"vertex coloring capped at {max_vertices} vertices, got {g.vertex_count}"
@@ -223,7 +222,7 @@ def chromatic_number(
     n = g.vertex_count
     if n == 0:
         return ChromaticResult(0, 0, 0, VertexColoring((), 0), 0, 0.0)
-    ub = greedy_coloring(g)
+    ub = greedy if greedy is not None else greedy_coloring(g)
     if g.edge_count == 0:
         return ChromaticResult(
             1, 1, 1, VertexColoring((0,) * n, 1), 0, time.perf_counter() - t0
@@ -240,7 +239,7 @@ def chromatic_number(
             return ChromaticResult(
                 k, k, k, ub, total_nodes, time.perf_counter() - t0
             )
-        status, colors, nodes = _decide(g, k, pinned, node_budget, deadline)
+        status, colors, nodes = _decide(g, k, pinned, node_budget)
         total_nodes += nodes
         if status == core.SAT:
             return ChromaticResult(
@@ -286,40 +285,45 @@ def chromatic_class(
     g: UndirectedGraph,
     max_edges: int = DEFAULT_EDGE_CAP,
     node_budget: int = 0,
-    deadline: float = 0.0,
+    *,
+    lg: Optional[LineGraphResult] = None,
+    greedy: Optional[VertexColoring] = None,
 ) -> ChromaticResult:
     """Exact edge chromatic number, solved as vertex coloring of the line graph.
 
     When the parity lemma proves chi = Delta + 1, the search starts there,
-    so the refutation of Delta colors is never run."""
+    so the refutation of Delta colors is never run.  ``lg`` is
+    ``line_graph_of(g)`` and ``greedy`` is ``greedy_coloring(lg.graph)``
+    when the caller already has them."""
     if g.edge_count > max_edges:
         raise SizeLimitError(
             f"edge coloring capped at {max_edges} edges, got {g.edge_count}"
         )
-    lg = line_graph_of(g)
+    if lg is None:
+        lg = line_graph_of(g)
     parity = parity_proves_class_two(g)
     result = chromatic_number(
         lg.graph,
         max_vertices=max_edges,
         node_budget=node_budget,
-        deadline=deadline,
         lower_bound=max(g.degrees) + 1 if parity else 0,
+        greedy=greedy,
     )
-    witness = None
-    if result.witness is not None:
-        vc: VertexColoring = result.witness
-        witness = EdgeColoring(
-            {lg.edge_of_g_vertex[i]: vc.colors[i] for i in range(lg.graph.vertex_count)},
-            vc.palette_size,
-        )
     return ChromaticResult(
         result.value,
         result.lower,
         result.upper,
-        witness,
+        None if result.witness is None else edge_coloring_of(lg, result.witness),
         result.nodes,
         result.elapsed,
         "parity" if parity else None,
+    )
+
+
+def edge_coloring_of(lg: LineGraphResult, vc: VertexColoring) -> EdgeColoring:
+    """Read a vertex coloring of the line graph ``lg`` as an edge coloring."""
+    return EdgeColoring(
+        {lg.edge_of_g_vertex[i]: c for i, c in enumerate(vc.colors)}, vc.palette_size
     )
 
 
@@ -381,15 +385,3 @@ def exhaustive_chromatic_number(g: UndirectedGraph, max_vertices: int = 8) -> in
     while not any_proper(k):
         k += 1
     return k
-
-
-def coloring_report(
-    g: UndirectedGraph,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    node_budget: int = 0,
-    deadline: float = 0.0,
-) -> ColoringReport:
-    gamma = chromatic_number(g, max_vertices, node_budget, deadline)
-    chi = chromatic_class(g, max_edges, node_budget, deadline)
-    return ColoringReport(gamma=gamma, chi=chi, bounds=coloring_bounds(g))

@@ -182,10 +182,6 @@ def line_graph_of(g: UndirectedGraph) -> LineGraphResult:
     return LineGraphResult(lg, fwd, back)
 
 
-def line_graph(h: ConjugatedTriangulation) -> LineGraphResult:
-    return line_graph_of(h.graph)
-
-
 def euler_circuit(
     h: Union[ConjugatedTriangulation, UndirectedGraph]
 ) -> EulerCircuit:
@@ -323,11 +319,17 @@ def medial_graph(
 
 
 def subdivide_edges(
-    h: ConjugatedTriangulation, count: int, seed: int
+    h: Union[ConjugatedTriangulation, tuple[UndirectedGraph, Optional[RotationSystem]]],
+    count: int,
+    seed: int,
 ) -> ConjugatedTriangulation:
     """Replace ``count`` randomly chosen distinct edges by length-2 paths.
-    New vertices get degree 2; old degrees and planarity are unchanged."""
-    g = h.graph
+    New vertices get degree 2; old degrees and planarity are unchanged.
+
+    ``h`` may also be an unvalidated (graph, rotation) pair, the rotation
+    covering the graph's edges: the result is validated, and subdividing
+    keeps every failure of the input."""
+    g, rot = (h.graph, h.rotation) if isinstance(h, ConjugatedTriangulation) else h
     if count < 0:
         raise ValueError("count must be non-negative")
     if count > g.edge_count:
@@ -354,11 +356,11 @@ def subdivide_edges(
 
     result = UndirectedGraph(n, new_edges)
     new_rot = None
-    if h.rotation is not None:
+    if rot is not None:
         orders = []
         for v in range(g.vertex_count):
             row = []
-            for eid in h.rotation.orders[v]:
+            for eid in rot.orders[v]:
                 w, eid_uw, eid_wv = replacement[eid]
                 if w < 0:
                     row.append(eid_uw)

@@ -412,19 +412,20 @@ def faces_and_genus_check(
         for i, eid in enumerate(order):
             next_pos[(v, eid)] = order[(i + 1) % d]
 
-    unvisited = set()
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        unvisited.add((u, v, eid))
-        unvisited.add((v, u, eid))
-
+    darts = sorted(
+        d for eid, (u, v) in enumerate(g.edges, start=1) for d in ((u, v, eid), (v, u, eid))
+    )
+    # A face is traced from its smallest dart, so faces come in that order.
+    visited = set()
     faces = []
-    while unvisited:
-        start = min(unvisited)
+    for start in darts:
+        if start in visited:
+            continue
         walk = []
         dart = start
         while True:
             walk.append(dart)
-            unvisited.discard(dart)
+            visited.add(dart)
             _, head, eid = dart
             nxt_edge = next_pos[(head, eid)]
             dart = (head, g.other_endpoint(nxt_edge, head), nxt_edge)

@@ -32,7 +32,6 @@ from .construct import (
     line_graph_of,
     medial_graph,
     orient_along_circuit,
-    require_conjugated,
     subdivide_edges,
     validate_conjugated,
 )
@@ -40,16 +39,16 @@ from .coloring import (
     ChromaticResult,
     DEFAULT_EDGE_CAP,
     DEFAULT_VERTEX_CAP,
-    EdgeColoring,
     chromatic_class,
     chromatic_number,
     coloring_bounds,
     decide_k_coloring,
+    edge_coloring_of,
     exhaustive_chromatic_number,
     greedy_coloring,
 )
 from .pairs import induce_edge_coloring, sibling_constraint_graph
-from .graphio import parse_graph_file, serialize_graph_file
+from .graphio import GraphFormatError, parse_graph_file, serialize_graph_file
 from . import core
 
 HYPOTHESES = ("H10", "H11", "H12", "H13")
@@ -64,7 +63,7 @@ ORACLE_RECHECK_MAX_VERTICES = 8
 
 
 class ScanInputError(Exception):
-    """Corpus source unreadable; everything else is per-instance data."""
+    """Corpus source unreadable or malformed; everything else is per-instance data."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,7 @@ def generate_corpus(recipe: GenRecipe) -> list[tuple[str, ConjugatedTriangulatio
                 sub_seed = _derive_seed(recipe.base_seed, i, s, r, 1)
                 t, rot = generate_stacked_triangulation(i, tri_seed)
                 mg, mrot = medial_graph(t, rot)
-                ct = subdivide_edges(require_conjugated(mg, mrot), s, sub_seed)
+                ct = subdivide_edges((mg, mrot), s, sub_seed)
                 out.append((f"gen-i{i}-s{s}-r{r}", ct))
     return out
 
@@ -302,10 +301,17 @@ def evaluate_instance(
     max_vertices: int,
     max_edges: int,
 ) -> InstanceRecord:
-    """Full per-instance pipeline; pure given its arguments."""
+    """Full per-instance pipeline; pure given its arguments.
+
+    Each derived object (line graph, greedy colorings) is built once and
+    reused for the bounds, the searches and the fallback witnesses.  A
+    malformed blob raises ScanInputError naming the instance."""
     t_total = time.perf_counter()
     budget = timeout_ms * NODES_PER_MS
-    graph, rotation = parse_graph_file(blob)
+    try:
+        graph, rotation = parse_graph_file(blob)
+    except GraphFormatError as exc:
+        raise ScanInputError(f"{instance_id}: {exc}") from None
     outcome = validate_conjugated(graph, rotation)
     if isinstance(outcome, ConjugatedTriangulation):
         ct: Optional[ConjugatedTriangulation] = outcome
@@ -344,23 +350,25 @@ def evaluate_instance(
         rec.timings_ms["total"] = (time.perf_counter() - t_total) * 1000
         return rec
 
-    vb = coloring_bounds(graph)
+    greedy = greedy_coloring(graph)
     lg = line_graph_of(graph)
+    lg_greedy = greedy_coloring(lg.graph)
+    vb = coloring_bounds(graph, greedy)
     rec.bounds = {
         "brooks": vb.brooks,
         "shannon_edge": vb.shannon,
         "greedy_vertex": vb.greedy,
-        "greedy_edge": greedy_coloring(lg.graph).palette_size,
+        "greedy_edge": lg_greedy.palette_size,
     }
 
     t0 = time.perf_counter()
-    gamma = chromatic_number(graph, max_vertices, node_budget=budget)
+    gamma = chromatic_number(graph, max_vertices, node_budget=budget, greedy=greedy)
     rec.timings_ms["gamma"] = (time.perf_counter() - t0) * 1000
     rec.gamma = _chromatic_dict(gamma)
     rec.nodes["gamma"] = gamma.nodes
 
     t0 = time.perf_counter()
-    chi = chromatic_class(graph, max_edges, node_budget=budget)
+    chi = chromatic_class(graph, max_edges, node_budget=budget, lg=lg, greedy=lg_greedy)
     rec.timings_ms["chi"] = (time.perf_counter() - t0) * 1000
     rec.chi = _chromatic_dict(chi)
     rec.nodes["chi"] = chi.nodes
@@ -373,7 +381,7 @@ def evaluate_instance(
             )
             detail += f"; exhaustive oracle confirms gamma = {confirmed}"
         if verdict == "pass":
-            witness = gamma.witness or greedy_coloring(graph)
+            witness = gamma.witness or greedy
             rec.witnesses["h10_coloring"] = list(witness.colors)
         for name in ("H10", "H13"):
             if name in hypotheses:
@@ -388,17 +396,7 @@ def evaluate_instance(
             else:
                 detail += f"; parity lemma lower bound {chi.lower}"
         if verdict == "pass":
-            if chi.witness is not None:
-                ec = chi.witness
-            else:
-                vc = greedy_coloring(lg.graph)
-                ec = EdgeColoring(
-                    {
-                        lg.edge_of_g_vertex[i]: vc.colors[i]
-                        for i in range(lg.graph.vertex_count)
-                    },
-                    vc.palette_size,
-                )
+            ec = chi.witness or edge_coloring_of(lg, lg_greedy)
             rec.witnesses["h11_edge_coloring"] = {
                 str(eid): c for eid, c in sorted(ec.colors.items())
             }
@@ -451,6 +449,7 @@ def _worker(args: tuple) -> InstanceRecord:
 
 
 def _load_corpus(config: ScanConfig) -> list[tuple[str, bytes]]:
+    """Instance ids and raw bytes; parsing happens once, per instance."""
     if config.source_files:
         corpus = []
         for path in config.source_files:
@@ -459,7 +458,6 @@ def _load_corpus(config: ScanConfig) -> list[tuple[str, bytes]]:
                     blob = fh.read()
             except OSError as exc:
                 raise ScanInputError(f"cannot read {path}: {exc}") from None
-            parse_graph_file(blob)  # fail fast on format errors
             corpus.append((os.path.basename(path), blob))
         return corpus
     return [

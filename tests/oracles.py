@@ -171,3 +171,66 @@ def connected_atlas_graphs(max_vertices=7):
         if 1 <= n <= max_vertices and nx.is_connected(g):
             out.append((n, sorted(tuple(sorted(e)) for e in g.edges())))
     return out
+
+
+def smallest_last_order_quadratic(n, edges):
+    """Smallest-last vertex order by a full minimum scan per removal: take
+    the vertex of least remaining degree, smallest id first, then reverse."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    deg = [len(a) for a in adj]
+    removed = [False] * n
+    order = []
+    for _ in range(n):
+        v = min((x for x in range(n) if not removed[x]), key=lambda x: (deg[x], x))
+        removed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+    order.reverse()
+    return order
+
+
+def first_fit_colors(n, edges, order):
+    """Each vertex in ``order`` gets the least color no colored neighbor has."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colors = [-1] * n
+    for v in order:
+        used = {colors[w] for w in adj[v]}
+        colors[v] = next(c for c in range(n + 1) if c not in used)
+    return tuple(colors)
+
+
+def trace_faces_quadratic(edges, orders):
+    """Faces of a rotation system as tuples of darts (tail, head, edge id),
+    each traced from the smallest unvisited dart by a full minimum scan.
+    Arriving at a vertex along edge e, the walk leaves along the rotation
+    successor of e there."""
+    succ = {}
+    for v, order in enumerate(orders):
+        for i, eid in enumerate(order):
+            succ[(v, eid)] = order[(i + 1) % len(order)]
+    unvisited = set()
+    for eid, (u, v) in enumerate(edges, start=1):
+        unvisited |= {(u, v, eid), (v, u, eid)}
+    faces = []
+    while unvisited:
+        start = dart = min(unvisited)
+        walk = []
+        while True:
+            walk.append(dart)
+            unvisited.discard(dart)
+            _, head, eid = dart
+            nxt = succ[(head, eid)]
+            a, b = edges[nxt - 1]
+            dart = (head, b if a == head else a, nxt)
+            if dart == start:
+                break
+        faces.append(tuple(walk))
+    return faces

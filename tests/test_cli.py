@@ -321,6 +321,22 @@ class TestScanAndGen:
         assert set(out["summary"]["verdicts"]) == {"H10", "H11"}
         assert out["summary"]["verdicts"]["H10"]["pass"] == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan_malformed_file_is_format_error_naming_it(self, tmp_path, capsys, jobs):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.conj", "c.conj"):  # each fails H12, a counterexample
+            _write_graph(corpus / name, _octahedron())
+        (corpus / "b.conj").write_text("p conj 3 3\ne 1 2\ne 2 3\ne 1 x\n")
+        report, cex = tmp_path / "report.json", tmp_path / "cex"
+        argv = ["scan", "--input", str(corpus), "--jobs", jobs]
+        code = cli.main(argv + ["--output", str(report), "--counterexample-dir", str(cex)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: b.conj: line 4: edge endpoints must be integers" in err
+        assert not report.exists()
+        assert not cex.exists()
+
     def test_scan_without_source_is_format_error(self, capsys):
         assert cli.main(["scan"]) == 2
         assert "needs --gen or --input" in capsys.readouterr().err

@@ -1,0 +1,94 @@
+"""The heap-based smallest-last order and the single-pass face tracing
+return exactly what the quadratic minimum scans they replaced returned."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from conjtri.coloring import greedy_coloring, smallest_last_order
+from conjtri.construct import generate_stacked_triangulation, line_graph_of
+from conjtri.graphs import RotationSystem, UndirectedGraph, faces_and_genus_check
+from conjtri.scan import GenRecipe, generate_corpus
+
+
+def random_graph(rng, n_max):
+    n = rng.randrange(1, n_max + 1)
+    p = rng.random()
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return UndirectedGraph(n, edges)
+
+
+def shuffled_rotation(g, rng):
+    orders = []
+    for ids in g.incident_edge_ids:
+        row = list(ids)
+        rng.shuffle(row)
+        orders.append(tuple(row))
+    return RotationSystem(orders)
+
+
+def assert_same_order_and_colors(g):
+    ref = oracles.smallest_last_order_quadratic(g.vertex_count, g.edges)
+    assert smallest_last_order(g) == ref
+    assert greedy_coloring(g).colors == oracles.first_fit_colors(
+        g.vertex_count, g.edges, ref
+    )
+
+
+def assert_same_faces(g, rot):
+    faces, _ = faces_and_genus_check(g, rot)
+    assert faces == oracles.trace_faces_quadratic(g.edges, rot.orders)
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    return [UndirectedGraph(n, edges) for n, edges in oracles.connected_atlas_graphs()]
+
+
+@pytest.fixture(scope="module")
+def generated_cells():
+    """Every insert count 0..9 with 0..3 subdivisions, plus the stacked
+    triangulations the cells are grown from."""
+    recipe = GenRecipe(inserts=tuple(range(10)), replicates=2, base_seed=5)
+    cells = [(ct.graph, ct.rotation) for _, ct in generate_corpus(recipe)]
+    cells += [generate_stacked_triangulation(i, 100 + i) for i in range(10)]
+    return cells
+
+
+class TestSmallestLastOrder:
+    def test_atlas(self, atlas):
+        for g in atlas:
+            assert_same_order_and_colors(g)
+
+    def test_generated_cells_and_their_line_graphs(self, generated_cells):
+        for g, _ in generated_cells:
+            assert_same_order_and_colors(g)
+            assert_same_order_and_colors(line_graph_of(g).graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_graphs(self, seed):
+        assert_same_order_and_colors(random_graph(random.Random(seed), n_max=30))
+
+
+class TestFaceTracing:
+    def test_atlas_under_sorted_and_shuffled_rotations(self, atlas):
+        rng = random.Random(3)
+        for g in atlas:
+            assert_same_faces(g, RotationSystem(g.incident_edge_ids))
+            assert_same_faces(g, shuffled_rotation(g, rng))
+
+    def test_generated_cells(self, generated_cells):
+        for g, rot in generated_cells:
+            assert_same_faces(g, rot)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_graphs_and_rotations(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, n_max=20)
+        assert_same_faces(g, shuffled_rotation(g, rng))

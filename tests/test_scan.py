@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -396,6 +397,87 @@ class TestRunScan:
         assert [strip(r) for r in report.instances] == [
             strip(r) for r in again.instances
         ]
+
+
+# Functions whose calls a scan must not repeat per instance.
+COUNTED = {
+    "parse_graph_file": "conjtri.graphio",
+    "line_graph_of": "conjtri.construct",
+    "validate_conjugated": "conjtri.construct",
+    "greedy_coloring": "conjtri.coloring",
+}
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count calls to each function in COUNTED, wrapped at every
+    module-global name conjtri looks it up by."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for name, home in COUNTED.items():
+        fn = getattr(sys.modules[home], name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("conjtri") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestBuildOnce:
+    def test_generated_scan(self, build_counts, tmp_path):
+        config = ScanConfig(
+            recipe=SMALL_RECIPE, timeout_ms=2000, counterexample_dir=str(tmp_path)
+        )
+        report = run_hypothesis_scan(config)
+        n = len(report.instances)
+        assert n == 12 and all(r.valid for r in report.instances)
+        assert build_counts == {
+            "parse_graph_file": n,
+            "line_graph_of": n,
+            "greedy_coloring": 2 * n,
+            # one after subdividing, one after parsing
+            "validate_conjugated": 2 * n,
+        }
+
+    def test_file_scan(self, build_counts, tmp_path):
+        paths = []
+        for iid, ct in generate_corpus(SMALL_RECIPE):
+            path = tmp_path / f"{iid}.conj"
+            path.write_bytes(serialize_graph_file(ct.graph, ct.rotation))
+            paths.append(str(path))
+        bad = tmp_path / "two-triangles.conj"
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        bad.write_bytes(_blob(UndirectedGraph(6, triangles)))
+        paths.append(str(bad))
+        for counter in build_counts:
+            build_counts[counter] = 0  # generation above is not the scan's work
+        report = run_hypothesis_scan(
+            ScanConfig(
+                source_files=tuple(paths),
+                timeout_ms=2000,
+                counterexample_dir=str(tmp_path / "cex"),
+            )
+        )
+        valid = sum(r.valid for r in report.instances)
+        assert valid == len(paths) - 1
+        assert build_counts == {
+            "parse_graph_file": len(paths),
+            "line_graph_of": valid,
+            "greedy_coloring": 2 * valid,
+            "validate_conjugated": len(paths),
+        }
+
+    def test_malformed_file_names_the_instance(self, tmp_path):
+        good = tmp_path / "a.conj"
+        good.write_bytes(_blob(_octahedron()))
+        bad = tmp_path / "b.conj"
+        bad.write_bytes(b"p conj 3 3\ne 1 2\ne 2 3\ne 1 x\n")
+        config = ScanConfig(source_files=(str(good), str(bad)), timeout_ms=1000)
+        with pytest.raises(ScanInputError, match="^b.conj: line 4: edge endpoints"):
+            run_hypothesis_scan(config)
 
 
 class TestReportSerialization:
