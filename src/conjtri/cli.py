@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 = run completed (hypothesis failures are results, not errors),
-1 = usage error, 2 = unreadable input or malformed graph/JSON data.
+1 = usage error or a scan report that fails its schema check,
+2 = unreadable input or malformed graph/JSON data.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .scan import (
     GenRecipe,
     ScanConfig,
     ScanInputError,
+    check_report,
     evaluate_instance,
     generate_corpus,
     run_hypothesis_scan,
@@ -331,7 +333,9 @@ def _cmd_scan(args) -> int:
         config = ScanConfig(source_files=tuple(_corpus_files(args.input)), **kwargs)
     report = run_hypothesis_scan(config)
     if args.output == "-":
-        _emit_json("-", report.to_dict())
+        payload = report.to_dict()
+        check_report(payload)
+        _emit_json("-", payload)
     else:
         write_report(report, args.output)
     summary = report.summary()
@@ -464,6 +468,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (NotConjugatedError, SizeLimitError, ValueError) as exc:
+        # ValueError covers report_check.ReportSchemaError: a report that
+        # fails its schema check is never written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

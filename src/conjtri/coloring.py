@@ -292,7 +292,9 @@ def chromatic_class(
     """Exact edge chromatic number, solved as vertex coloring of the line graph.
 
     When the parity lemma proves chi = Delta + 1, the search starts there,
-    so the refutation of Delta colors is never run.  ``lg`` is
+    so the refutation of Delta colors is never run.  When the search runs
+    out of budget, Vizing's theorem (chi <= Delta + 1 on a simple graph)
+    caps the greedy upper bound.  ``lg`` is
     ``line_graph_of(g)`` and ``greedy`` is ``greedy_coloring(lg.graph)``
     when the caller already has them."""
     if g.edge_count > max_edges:
@@ -312,7 +314,7 @@ def chromatic_class(
     return ChromaticResult(
         result.value,
         result.lower,
-        result.upper,
+        min(result.upper, max(g.degrees, default=0) + 1),
         None if result.witness is None else edge_coloring_of(lg, result.witness),
         result.nodes,
         result.elapsed,

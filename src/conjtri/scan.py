@@ -396,10 +396,15 @@ def evaluate_instance(
             else:
                 detail += f"; parity lemma lower bound {chi.lower}"
         if verdict == "pass":
-            ec = chi.witness or edge_coloring_of(lg, lg_greedy)
-            rec.witnesses["h11_edge_coloring"] = {
-                str(eid): c for eid, c in sorted(ec.colors.items())
-            }
+            # An aborted search leaves the greedy coloring, a witness only
+            # when it uses at most EDGE_COLOR_TARGET colors.
+            ec = chi.witness
+            if ec is None and lg_greedy.palette_size <= EDGE_COLOR_TARGET:
+                ec = edge_coloring_of(lg, lg_greedy)
+            if ec is not None:
+                rec.witnesses["h11_edge_coloring"] = {
+                    str(eid): c for eid, c in sorted(ec.colors.items())
+                }
         rec.hypotheses["H11"] = {"verdict": verdict, "detail": detail}
 
     if "H12" in hypotheses:
@@ -512,14 +517,19 @@ def report_schema() -> dict:
     )
 
 
-def write_report(report: ScanReport, path: str) -> None:
-    payload = report.to_dict()
-    try:
-        import jsonschema
+def check_report(payload: dict) -> None:
+    """Raise ``report_check.ReportSchemaError``, naming the JSON path of the
+    first violation, unless ``payload`` matches report_schema.json."""
+    from .report_check import report_checker
 
-        jsonschema.validate(payload, report_schema())
-    except ImportError:
-        pass
+    report_checker()(payload)
+
+
+def write_report(report: ScanReport, path: str) -> None:
+    """Check the report against its schema, then write it; a report that
+    fails the check is not written and ``path`` is not opened."""
+    payload = report.to_dict()
+    check_report(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from conjtri import cli
+from conjtri import scan as scan_module
 from conjtri.graphio import parse_graph_file, serialize_graph_file
 from conjtri.graphs import UndirectedGraph
 from conjtri.scan import report_schema
@@ -353,6 +354,28 @@ class TestScanAndGen:
         assert (
             cli.main(["scan", "--input", path, "--hypotheses", "H10,H99"]) == 1
         )
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_scan_report_failing_its_schema_is_not_written(
+        self, tmp_path, capsys, monkeypatch, to_stdout
+    ):
+        real = scan_module.evaluate_instance
+
+        def evaluate(*args):
+            rec = real(*args)
+            rec.nodes["chi"] = -1
+            return rec
+
+        monkeypatch.setattr(scan_module, "evaluate_instance", evaluate)
+        report = tmp_path / "report.json"
+        argv = ["scan", "--gen", "--inserts", "0", "--subdivisions", "0"]
+        argv += ["--replicates", "1", "--counterexample-dir", str(tmp_path / "cex")]
+        argv += ["--output", "-" if to_stdout else str(report)]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "error: instances/0/nodes/chi: -1 is less than the minimum of 0" in err
+        assert out == ""
+        assert not report.exists()
 
 
 class TestExitCodes:

@@ -147,6 +147,15 @@ class TestChromaticClass:
         res = chromatic_class(k7)
         assert res.value == 7  # odd complete graphs exceed their degree
 
+    def test_vizing_caps_the_upper_bound_of_an_aborted_search(self):
+        # The greedy coloring of L(K6) uses 7 colors; Vizing gives Delta + 1 = 6.
+        k6 = UndirectedGraph(6, list(itertools.combinations(range(6), 2)))
+        res = chromatic_class(k6, node_budget=1)
+        assert res.value is None
+        assert (res.lower, res.upper) == (5, 6)
+        assert res.lower <= chromatic_class(k6).value <= res.upper
+        assert chromatic_class(UndirectedGraph(0, [])).upper == 0
+
 
 def random_two_four_graph(rng, n_max=8):
     """Simple graph with every degree 2 or 4, from a rejected configuration

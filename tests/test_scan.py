@@ -217,6 +217,16 @@ class TestEvaluateInstance:
         assert rec.chi["value"] is None and rec.chi["lower"] == 5
         assert rec.hypotheses["H11"]["detail"].endswith("; parity lemma lower bound 5")
 
+    def test_vizing_settles_h11_when_the_budget_is_exhausted(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "NODES_PER_MS", 1)  # one node per decision
+        rec = evaluate_instance("k5", _blob(_k5()), ("H11",), 1, 60, 60)
+        assert rec.chi == {"value": None, "lower": 5, "upper": 5}
+        assert rec.hypotheses["H11"]["verdict"] == "pass"
+        assert rec.hypotheses["H11"]["detail"].endswith("; parity lemma lower bound 5")
+        # The greedy coloring of L(K5) uses 7 colors, so it witnesses nothing.
+        assert rec.bounds["greedy_edge"] == 7
+        assert rec.witnesses["h11_edge_coloring"] is None
+
     def test_no_parity_note_when_the_lemma_is_silent(self):
         rec = evaluate_instance("octa", _blob(_octahedron()), ("H11",), 2000, 60, 60)
         assert rec.hypotheses["H11"]["detail"] == "chi = 4 <= 6"
