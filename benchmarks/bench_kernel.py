@@ -88,7 +88,7 @@ def run(backend, n, edges, k, repeats=3):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        status, _, nodes = backend.decide_coloring(n, masks, k, pinned, 0, 0.0)
+        status, _, nodes = backend.decide_coloring(n, masks, k, pinned, 0)
         best = min(best, time.perf_counter() - t0)
     return status, nodes, best
 

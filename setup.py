@@ -2,26 +2,9 @@ from setuptools import setup
 from setuptools.extension import Extension
 
 # The compiled search kernel is an accelerator only; conjtri.core falls back
-# to the pure-Python twin when the extension is unavailable. The generated
-# _core.c is committed, so only a C compiler is needed to build it; Cython,
-# when installed, regenerates it from _core.pyx.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-
-def _kernel(source: str) -> Extension:
-    return Extension(
-        name="conjtri._core",
-        sources=[source],
-        extra_compile_args=["-O2"],
-    )
-
-
-if cythonize is None:
-    ext_modules = [_kernel("src/conjtri/_core.c")]
-else:
-    ext_modules = cythonize([_kernel("src/conjtri/_core.pyx")], language_level=3)
-
-setup(ext_modules=ext_modules)
+# to the pure-Python twin when the extension is unavailable.
+setup(
+    ext_modules=[
+        Extension("conjtri._core", ["src/conjtri/_core.c"], extra_compile_args=["-O2"])
+    ]
+)

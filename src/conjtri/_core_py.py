@@ -1,20 +1,17 @@
 """Pure-Python twin of the compiled k-coloring search kernel.
 
-Semantics (vertex selection, color order, symmetry cap, node counting) are
-identical to ``_core.pyx`` so both backends return the same witnesses and
-the same node counts.  Vertices are indices into ``masks``; ``masks[v]`` is
-the neighbor bitmask of ``v``.  Requires n <= 64 and k <= 64.
+Semantics (argument checks, vertex selection, color order, symmetry cap,
+node counting) are identical to the hand-written C extension ``_core.c``, so
+both backends return the same witnesses and the same node counts.  Vertices
+are indices into ``masks``; ``masks[v]`` is the neighbor bitmask of ``v``.
+Requires n <= 64 and k <= 64.
 """
 
 from __future__ import annotations
 
-import time
-
 SAT = 1
 UNSAT = 0
 ABORTED = -1
-
-_CHECK_EVERY = 2048
 
 
 def decide_coloring(
@@ -23,19 +20,25 @@ def decide_coloring(
     k: int,
     pinned: list[int],
     node_budget: int = 0,
-    deadline: float = 0.0,
 ) -> tuple[int, list[int] | None, int]:
     """Exact k-colorability via DSATUR-ordered backtracking.
 
     ``pinned[v]`` is a fixed color or -1.  A vertex may only take a color at
     most one above the highest color used so far (symmetry cap); DSATUR picks
     the uncolored vertex with maximal saturation, then maximal degree, then
-    lowest id; colors are tried ascending.  ``node_budget`` / ``deadline``
-    (time.monotonic seconds) of 0 mean unlimited.  Returns
-    ``(status, colors | None, nodes)``.
+    lowest id; colors are tried ascending.  A ``node_budget`` of 0 means
+    unlimited.  Returns ``(status, colors | None, nodes)``.  Raises
+    ``ValueError`` when n or k exceeds 64, when n is negative, or when
+    ``masks[v]`` is negative or has a bit at or above n.
     """
     if n > 64 or k > 64:
         raise ValueError("kernel limited to 64 vertices / colors")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    for v in range(n):
+        m = masks[v]
+        if m < 0 or m >> n:
+            raise ValueError(f"mask of vertex {v} has a bit outside vertices 0..{n - 1}")
     if k <= 0:
         return (UNSAT if n else SAT, [] if not n else None, 0)
 
@@ -44,7 +47,6 @@ def decide_coloring(
     sat = [0] * n
     used_max = -1
     uncolored = n
-    full = (1 << k) - 1
 
     for v in range(n):
         c = pinned[v]
@@ -89,9 +91,6 @@ def decide_coloring(
             avail &= avail - 1
             nodes += 1
             if node_budget and nodes > node_budget:
-                aborted = True
-                return False
-            if deadline and nodes % _CHECK_EVERY == 0 and time.monotonic() > deadline:
                 aborted = True
                 return False
             colors[v] = c

@@ -1,8 +1,9 @@
 """Search-kernel backend selection.
 
-The compiled Cython kernel is preferred; the pure-Python twin is used when
-the extension is missing or when CONJTRI_PURE is set in the environment.
-Both implement the same algorithm and return identical results.
+The compiled kernel, a hand-written C extension (``_core.c``), is preferred;
+the pure-Python twin is used when the extension is missing or when
+CONJTRI_PURE is set in the environment.  Both implement the same algorithm
+and return identical results.
 """
 
 from __future__ import annotations
