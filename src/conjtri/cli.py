@@ -147,6 +147,7 @@ def _cmd_chi(args) -> int:
             "lower": res.lower,
             "upper": res.upper,
             "nodes": res.nodes,
+            "certificate": res.certificate,
             "witness": witness,
         },
     )

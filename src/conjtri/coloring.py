@@ -2,8 +2,11 @@
 
 The exact searches are DSATUR-ordered backtracking with the first greedy
 clique pinned for symmetry breaking, run on the selected kernel backend.
-The edge chromatic number is first bounded by the parity lemma, so search
-runs only for the values no theorem settles.
+The edge chromatic number is settled by a certificate before any search
+when one applies: the parity lemma, a lower-bound theorem, proves
+chi = Delta + 1; otherwise a verified Delta-edge-coloring found by
+Kempe-chain recoloring meets the Delta lower bound.  Search runs only for
+the values neither settles.
 Search budgets never produce wrong answers: an exhausted budget yields an
 indeterminate result carrying the best proven bounds.
 """
@@ -21,6 +24,10 @@ from .construct import LineGraphResult, line_graph_of
 
 DEFAULT_VERTEX_CAP = 60
 DEFAULT_EDGE_CAP = 60
+# The Kempe-chain step gives up after this many steps per edge of the graph.
+KEMPE_STEPS_PER_EDGE = 20
+# Fixed xorshift32 state, so Kempe witnesses repeat on any Python and worker.
+KEMPE_SEED = 2463534242
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,10 @@ class ChromaticResult:
     ``value`` is None when the search budget ran out; ``lower``/``upper``
     are then the best proven bounds.  ``nodes`` counts search-tree nodes
     over all decision calls, so it is identical across kernel backends.
-    ``certificate`` names the theorem that raised ``lower`` above what the
-    search would start from ("parity"), or is None.
+    ``certificate`` names what spared search work: a lower-bound theorem
+    that starts the search at Delta + 1 ("parity"), or a verified witness
+    that meets the Delta lower bound, so that no search runs ("kempe").
+    It is None when the search alone decided.
     """
 
     value: Optional[int]
@@ -281,6 +290,89 @@ def parity_proves_class_two(g: UndirectedGraph) -> bool:
     return low == 1 or (low == 0 and len(degrees) % 2 == 1)
 
 
+def kempe_edge_coloring(
+    g: UndirectedGraph, lg: LineGraphResult, greedy: VertexColoring
+) -> tuple[Optional[EdgeColoring], int]:
+    """Try to recolor the greedy line-graph coloring ``greedy`` into a
+    Delta-edge-coloring by Kempe-chain swaps (Misra and Gries, 1992).
+
+    Edges the greedy coloring gives a color below Delta keep it; the rest
+    wait on a LIFO queue.  A step pops an edge uv.  A color free at both
+    ends colors it.  Otherwise, with a free at u and b free at v, the a/b
+    chain from v is swapped, which frees a at v.  If that chain ends at u
+    the swap would not help, so a color c is evicted instead: the edges
+    colored c at u and at v are uncolored and queued, and uv takes c.
+    Every choice comes from a xorshift32 generator with a fixed seed.
+    Returns the coloring (None after ``KEMPE_STEPS_PER_EDGE * |E|`` steps)
+    and the number of steps taken.  The caller verifies the coloring."""
+    delta = max(g.degrees, default=0)
+    state = KEMPE_SEED
+
+    def pick(n: int) -> int:
+        nonlocal state
+        state ^= (state << 13) & 0xFFFFFFFF
+        state ^= state >> 17
+        state ^= (state << 5) & 0xFFFFFFFF
+        return state % n
+
+    color = [-1] * (g.edge_count + 1)
+    at = [[0] * delta for _ in range(g.vertex_count)]  # at[v][c]: edge id or 0
+
+    def paint(eid: int, c: int) -> None:
+        u, v = g.edges[eid - 1]
+        if color[eid] >= 0:
+            at[u][color[eid]] = at[v][color[eid]] = 0
+        color[eid] = c
+        if c >= 0:
+            at[u][c] = at[v][c] = eid
+
+    queue = []
+    for i, c in enumerate(greedy.colors):
+        eid = lg.edge_of_g_vertex[i]
+        if c < delta:
+            paint(eid, c)
+        else:
+            queue.append(eid)
+    steps = 0
+    while queue:
+        if steps == KEMPE_STEPS_PER_EDGE * g.edge_count:
+            return None, steps
+        steps += 1
+        eid = queue.pop()
+        ends = g.edges[eid - 1]
+        u = ends[pick(2)]
+        v = ends[0] + ends[1] - u
+        free_u = [c for c in range(delta) if not at[u][c]]
+        free_v = [c for c in range(delta) if not at[v][c]]
+        common = [c for c in free_u if not at[v][c]]
+        if common:
+            paint(eid, common[pick(len(common))])
+            continue
+        a = free_u[pick(len(free_u))]
+        b = free_v[pick(len(free_v))]
+        chain, x, c = [], v, a
+        while at[x][c]:
+            chain.append(at[x][c])
+            x = g.other_endpoint(chain[-1], x)
+            c = a + b - c
+        if x != u:
+            for e in chain:
+                paint(e, -1)
+            for i, e in enumerate(chain):
+                paint(e, (b, a)[i % 2])
+            paint(eid, a)
+            continue
+        c = pick(delta)
+        for w in (u, v):
+            if at[w][c]:
+                evicted = at[w][c]
+                paint(evicted, -1)
+                queue.append(evicted)
+        paint(eid, c)
+    witness = EdgeColoring({eid: color[eid] for eid in range(1, g.edge_count + 1)}, delta)
+    return witness, steps
+
+
 def chromatic_class(
     g: UndirectedGraph,
     max_edges: int = DEFAULT_EDGE_CAP,
@@ -292,32 +384,46 @@ def chromatic_class(
     """Exact edge chromatic number, solved as vertex coloring of the line graph.
 
     When the parity lemma proves chi = Delta + 1, the search starts there,
-    so the refutation of Delta colors is never run.  When the search runs
-    out of budget, Vizing's theorem (chi <= Delta + 1 on a simple graph)
-    caps the greedy upper bound.  ``lg`` is
+    so the refutation of Delta colors is never run.  When the lemma is
+    silent and the greedy coloring uses more than Delta colors,
+    ``kempe_edge_coloring`` looks for a Delta-edge-coloring first; once
+    ``verify_edge_coloring`` accepts it, it proves chi = Delta, since the
+    edges at a vertex of degree Delta need Delta colors, and no search runs.
+    When the search runs out of budget, Vizing's theorem (chi <= Delta + 1
+    on a simple graph) caps the greedy upper bound.  ``lg`` is
     ``line_graph_of(g)`` and ``greedy`` is ``greedy_coloring(lg.graph)``
     when the caller already has them."""
     if g.edge_count > max_edges:
         raise SizeLimitError(
             f"edge coloring capped at {max_edges} edges, got {g.edge_count}"
         )
+    t0 = time.perf_counter()
     if lg is None:
         lg = line_graph_of(g)
+    if greedy is None:
+        greedy = greedy_coloring(lg.graph)
+    delta = max(g.degrees, default=0)
     parity = parity_proves_class_two(g)
+    if not parity and 0 < delta < greedy.palette_size:
+        witness, _ = kempe_edge_coloring(g, lg, greedy)
+        if witness is not None and not verify_edge_coloring(g, witness):
+            return ChromaticResult(
+                delta, delta, delta, witness, 0, time.perf_counter() - t0, "kempe"
+            )
     result = chromatic_number(
         lg.graph,
         max_vertices=max_edges,
         node_budget=node_budget,
-        lower_bound=max(g.degrees) + 1 if parity else 0,
+        lower_bound=delta + 1 if parity else 0,
         greedy=greedy,
     )
     return ChromaticResult(
         result.value,
         result.lower,
-        min(result.upper, max(g.degrees, default=0) + 1),
+        min(result.upper, delta + 1),
         None if result.witness is None else edge_coloring_of(lg, result.witness),
         result.nodes,
-        result.elapsed,
+        time.perf_counter() - t0,
         "parity" if parity else None,
     )
 

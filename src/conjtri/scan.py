@@ -395,6 +395,8 @@ def evaluate_instance(
                 detail += " (parity lemma lower bound, Vizing upper bound)"
             else:
                 detail += f"; parity lemma lower bound {chi.lower}"
+        elif chi.certificate == "kempe":
+            detail += " (Kempe-chain witness, Delta lower bound)"
         if verdict == "pass":
             # An aborted search leaves the greedy coloring, a witness only
             # when it uses at most EDGE_COLOR_TARGET colors.

@@ -82,6 +82,21 @@ class TestBasicCommands:
         assert out["chi"] == 2
         assert set(out["witness"]) == {"1", "2", "3", "4"}
 
+    @pytest.mark.parametrize(
+        "graph, chi, certificate",
+        [
+            (_octahedron(), 4, "kempe"),
+            (UndirectedGraph(5, list(itertools.combinations(range(5), 2))), 5, "parity"),
+        ],
+        ids=["octahedron", "k5"],
+    )
+    def test_chi_names_its_certificate(self, tmp_path, capsys, graph, chi, certificate):
+        path = _write_graph(tmp_path / "g.conj", graph)
+        out = _run_json(capsys, ["chi", "--input", path])
+        assert (out["chi"], out["certificate"]) == (chi, certificate)
+        # A Kempe witness replaces the search; parity only starts it at 5.
+        assert (out["nodes"] == 0) == (certificate == "kempe")
+
     def test_gamma_reads_stdin(self, capsys, monkeypatch):
         blob = serialize_graph_file(_c4())
         monkeypatch.setattr(

@@ -1,13 +1,18 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conjtri import _core_py, core
+from conjtri import _core_py, coloring, core
 from conjtri.construct import line_graph_of
 from conjtri.graphs import SizeLimitError, UndirectedGraph
+from conjtri.scan import ScanConfig, run_hypothesis_scan
 from conjtri.coloring import (
     EdgeColoring,
     SearchBudgetExceeded,
@@ -20,10 +25,12 @@ from conjtri.coloring import (
     greedy_clique,
     greedy_coloring,
     is_k_colorable,
+    kempe_edge_coloring,
     parity_proves_class_two,
     verify_edge_coloring,
     verify_vertex_coloring,
 )
+from test_scan import SMALL_RECIPE
 
 
 def random_graph(rng, n_max=8, p=0.45):
@@ -147,9 +154,13 @@ class TestChromaticClass:
         res = chromatic_class(k7)
         assert res.value == 7  # odd complete graphs exceed their degree
 
-    def test_vizing_caps_the_upper_bound_of_an_aborted_search(self):
+    def test_vizing_caps_the_upper_bound_of_an_aborted_search(self, monkeypatch):
         # The greedy coloring of L(K6) uses 7 colors; Vizing gives Delta + 1 = 6.
         k6 = UndirectedGraph(6, list(itertools.combinations(range(6), 2)))
+        # K6 is class 1, so the Kempe step settles it unless its cap is 0.
+        unpatched = chromatic_class(k6)
+        assert (unpatched.value, unpatched.certificate) == (5, "kempe")
+        monkeypatch.setattr(coloring, "KEMPE_STEPS_PER_EDGE", 0)
         res = chromatic_class(k6, node_budget=1)
         assert res.value is None
         assert (res.lower, res.upper) == (5, 6)
@@ -209,7 +220,12 @@ class TestParityCertificate:
                 assert want == max(g.degrees) + 1
                 assert res.certificate == "parity"
             else:
-                assert res.certificate is None
+                # The Kempe step runs when the greedy coloring needs more
+                # than Delta colors; here it settles exactly the class-1 graphs.
+                delta = max(g.degrees)
+                runs = greedy_coloring(line_graph_of(g).graph).palette_size > delta
+                kempe = runs and want == delta
+                assert res.certificate == ("kempe" if kempe else None)
         assert fired > 10
 
     def test_two_four_rule(self, named_graphs):
@@ -257,6 +273,132 @@ class TestParityCertificate:
             res = chromatic_class(k5)
             counts.append((res.nodes, res.witness))
         assert counts[0] == counts[1]
+
+
+def _kempe_runs(g):
+    """The greedy line-graph coloring when chromatic_class runs the Kempe
+    step on ``g``, else None."""
+    if not g.edge_count or parity_proves_class_two(g):
+        return None
+    greedy = greedy_coloring(line_graph_of(g).graph)
+    return greedy if greedy.palette_size > max(g.degrees) else None
+
+
+def _check_kempe(g, greedy, want):
+    """Run the Kempe step from ``greedy``, check what it returns against
+    the exact value ``want``, and say whether it settled chi."""
+    delta = max(g.degrees)
+    witness, steps = kempe_edge_coloring(g, line_graph_of(g), greedy)
+    res = chromatic_class(g)
+    if witness is None:
+        # On the graphs tested, the step gives up only on class-2 graphs.
+        assert want == delta + 1
+        assert steps == coloring.KEMPE_STEPS_PER_EDGE * g.edge_count
+        assert res.certificate is None and res.value == want
+        return False
+    assert verify_edge_coloring(g, witness) == []
+    assert witness.palette_size == delta
+    assert len(set(witness.colors.values())) == delta
+    assert want == delta
+    assert (res.value, res.lower, res.upper, res.nodes) == (delta, delta, delta, 0)
+    assert (res.witness, res.certificate) == (witness, "kempe")
+    return True
+
+
+_HASHSEED_SCRIPT = """
+import json
+from conjtri.coloring import chromatic_class
+from conjtri.scan import GenRecipe, generate_corpus
+out = {}
+recipe = GenRecipe(inserts=(3,), subdivisions=(0, 2), replicates=4)
+for iid, ct in generate_corpus(recipe):
+    res = chromatic_class(ct.graph)
+    if res.certificate == "kempe":
+        out[iid] = sorted(res.witness.colors.items())
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+class TestKempeStep:
+    def test_settles_every_class_one_atlas_graph(self):
+        outcomes = []
+        for n, edges in oracles.connected_atlas_graphs():
+            g = UndirectedGraph(n, edges)
+            greedy = _kempe_runs(g)
+            if greedy is not None:
+                want = oracles.edge_chromatic_inclusion_exclusion(n, edges)
+                outcomes.append(_check_kempe(g, greedy, want))
+        # All 235 class-1 graphs are settled; the 22 class-2 ones give up.
+        assert (outcomes.count(True), outcomes.count(False)) == (235, 22)
+
+    def test_settles_random_two_four_graphs(self):
+        rng = random.Random(59)
+        outcomes = []
+        for _ in range(200):
+            g = random_two_four_graph(rng)
+            greedy = _kempe_runs(g)
+            if greedy is not None:
+                want = oracles.edge_chromatic_inclusion_exclusion(
+                    g.vertex_count, list(g.edges)
+                )
+                outcomes.append(_check_kempe(g, greedy, want))
+        assert (outcomes.count(True), outcomes.count(False)) == (16, 2)
+
+    def test_petersen_exhausts_the_cap_and_falls_back_to_search(self, named_graphs):
+        g = named_graphs["petersen"]  # 3-regular, class 2, parity silent
+        greedy = _kempe_runs(g)
+        assert greedy is not None
+        witness, steps = kempe_edge_coloring(g, line_graph_of(g), greedy)
+        assert witness is None
+        assert steps == coloring.KEMPE_STEPS_PER_EDGE * g.edge_count == 300
+        res = chromatic_class(g)
+        assert (res.value, res.certificate) == (4, None)
+        assert res.nodes > 0
+
+    def test_an_improper_witness_is_rejected(self, named_graphs, monkeypatch):
+        g = named_graphs["octahedron"]
+        bogus = EdgeColoring({eid: 0 for eid in range(1, g.edge_count + 1)}, 4)
+        monkeypatch.setattr(coloring, "kempe_edge_coloring", lambda *a: (bogus, 1))
+        res = chromatic_class(g)
+        assert (res.value, res.certificate) == (4, None)
+        assert res.nodes > 0
+        assert verify_edge_coloring(g, res.witness) == []
+
+    def test_witnesses_do_not_depend_on_the_hash_seed(self):
+        runs = []
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", _HASHSEED_SCRIPT],
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            runs.append(json.loads(out.stdout))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) >= 4
+
+    def test_worker_count_does_not_change_kempe_witnesses(self, tmp_path):
+        reports = [
+            run_hypothesis_scan(
+                ScanConfig(
+                    recipe=SMALL_RECIPE,
+                    timeout_ms=2000,
+                    jobs=jobs,
+                    counterexample_dir=str(tmp_path / "cex"),
+                )
+            )
+            for jobs in (1, 2)
+        ]
+
+        def strip(rec):
+            d = rec.to_dict()
+            d.pop("timings_ms")
+            return d
+
+        one, two = ([strip(r) for r in rep.instances] for rep in reports)
+        assert one == two
+        assert any("Kempe" in d["hypotheses"]["H11"]["detail"] for d in one)
 
 
 class TestBounds:

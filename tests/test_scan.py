@@ -9,7 +9,12 @@ import sys
 import jsonschema
 import pytest
 
-from conjtri.coloring import ChromaticResult, verify_vertex_coloring
+from conjtri.coloring import (
+    ChromaticResult,
+    EdgeColoring,
+    verify_edge_coloring,
+    verify_vertex_coloring,
+)
 from conjtri.graphio import parse_graph_file, serialize_graph_file
 from conjtri.graphs import UndirectedGraph
 from conjtri import scan as scan_module
@@ -229,7 +234,9 @@ class TestEvaluateInstance:
 
     def test_no_parity_note_when_the_lemma_is_silent(self):
         rec = evaluate_instance("octa", _blob(_octahedron()), ("H11",), 2000, 60, 60)
-        assert rec.hypotheses["H11"]["detail"] == "chi = 4 <= 6"
+        detail = rec.hypotheses["H11"]["detail"]
+        assert detail == "chi = 4 <= 6 (Kempe-chain witness, Delta lower bound)"
+        assert "parity" not in detail
 
     def test_formerly_indeterminate_instance_is_exact(self):
         # Refuting a 4-edge-coloring used up the whole node budget here and
@@ -242,6 +249,25 @@ class TestEvaluateInstance:
         assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
         assert "parity lemma" in rec.hypotheses["H11"]["detail"]
         assert rec.nodes["chi"] < 1000
+
+    def test_kempe_witness_settles_the_last_indeterminate_instance(self):
+        # Refuting a 4-edge-coloring here used up the whole 500,001-node
+        # budget and left chi in [4, 5]; the parity lemma is silent at
+        # |V2| = 3, and a verified Kempe-chain witness settles chi = 4.
+        recipe = GenRecipe(inserts=(9,), subdivisions=(3,), replicates=24, base_seed=1)
+        iid, ct = generate_corpus(recipe)[-1]
+        assert iid == "gen-i9-s3-r23"
+        blob = serialize_graph_file(ct.graph, ct.rotation)
+        rec = evaluate_instance(iid, blob, ("H11",), 5000, 64, 64)
+        assert rec.chi == {"value": 4, "lower": 4, "upper": 4}
+        assert rec.nodes["chi"] == 0
+        assert rec.hypotheses["H11"] == {
+            "verdict": "pass",
+            "detail": "chi = 4 <= 6 (Kempe-chain witness, Delta lower bound)",
+        }
+        colors = {int(eid): c for eid, c in rec.witnesses["h11_edge_coloring"].items()}
+        assert set(colors.values()) == set(range(4))
+        assert verify_edge_coloring(ct.graph, EdgeColoring(colors, 4)) == []
 
     def test_invalid_instance_skips_everything(self):
         k4 = UndirectedGraph(4, list(itertools.combinations(range(4), 2)))
