@@ -50,7 +50,6 @@ from .scan import (
     ScanConfig,
     ScanInputError,
     check_report,
-    evaluate_instance,
     generate_corpus,
     run_hypothesis_scan,
     write_report,
@@ -157,7 +156,7 @@ def _cmd_chi(args) -> int:
 def _cmd_linegraph(args) -> int:
     graph, _ = _load_graph(args)
     lg = line_graph_of(graph)
-    _write_output(args.output, serialize_graph_file(lg.graph))
+    _write_output(args.output, serialize_graph_file(lg))
     return EXIT_OK
 
 
@@ -360,23 +359,28 @@ def _recipe_from_args(args) -> GenRecipe:
 def _cmd_gen(args) -> int:
     if args.output == "-":
         raise ScanInputError("gen writes a directory; pass --output DIR")
+    recipe = _recipe_from_args(args)
     os.makedirs(args.output, exist_ok=True)
     files = []
-    for iid, ct in generate_corpus(_recipe_from_args(args)):
+    for iid, blob in generate_corpus(recipe):
         path = os.path.join(args.output, f"{iid}.conj")
         with open(path, "wb") as fh:
-            fh.write(serialize_graph_file(ct.graph, ct.rotation))
+            fh.write(blob)
         files.append(path)
     _emit_json("-", {"count": len(files), "files": files})
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--input", default="-", help="graph file, or '-' for stdin")
-    shared.add_argument("--output", default="-", help="output path, or '-' for stdout")
-    shared.add_argument("--seed", type=int, default=2026, help="generator seed")
-    shared.add_argument(
+    # Each subcommand takes only the shared flags it reads; --output is common.
+    inp = _Parser(add_help=False)
+    inp.add_argument("--input", default="-", help="graph file, or '-' for stdin")
+    out = _Parser(add_help=False)
+    out.add_argument("--output", default="-", help="output path, or '-' for stdout")
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=2026, help="generator seed")
+    search = _Parser(add_help=False)
+    search.add_argument(
         "--timeout-ms",
         type=int,
         default=5000,
@@ -385,54 +389,48 @@ def build_parser() -> argparse.ArgumentParser:
             f"deterministic {NODES_PER_MS} nodes/ms"
         ),
     )
-    shared.add_argument("--jobs", type=int, default=1, help="worker processes")
-    shared.add_argument(
+    search.add_argument(
         "--max-n", type=int, default=60, help="vertex and edge cap for exact solvers"
     )
+    jobs = _Parser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     parser = _Parser(prog="conjtri", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser(
-        "validate", parents=[shared], help="structural checks for one graph"
-    ).set_defaults(func=_cmd_validate)
-    sub.add_parser(
-        "gamma", parents=[shared], help="exact chromatic number"
-    ).set_defaults(func=_cmd_gamma)
-    sub.add_parser(
-        "chi", parents=[shared], help="exact edge chromatic number"
-    ).set_defaults(func=_cmd_chi)
-    sub.add_parser(
-        "linegraph", parents=[shared], help="emit the line graph as a graph file"
-    ).set_defaults(func=_cmd_linegraph)
-    sub.add_parser(
-        "euler", parents=[shared], help="deterministic Euler circuit"
-    ).set_defaults(func=_cmd_euler)
-    sub.add_parser(
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=[*parents, out], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    command("validate", _cmd_validate, [inp], "structural checks for one graph")
+    command("gamma", _cmd_gamma, [inp, search], "exact chromatic number")
+    command("chi", _cmd_chi, [inp, search], "exact edge chromatic number")
+    command(
+        "linegraph", _cmd_linegraph, [inp], "emit the line graph as a graph file"
+    )
+    command("euler", _cmd_euler, [inp], "deterministic Euler circuit")
+    command(
         "induce",
-        parents=[shared],
-        help="3-color, orient along the Euler circuit, emit pair coloring",
-    ).set_defaults(func=_cmd_induce)
-    p_recover = sub.add_parser(
-        "recover", parents=[shared], help="rebuild a vertex coloring from pairs"
+        _cmd_induce,
+        [inp, search],
+        "3-color, orient along the Euler circuit, emit pair coloring",
+    )
+    p_recover = command(
+        "recover", _cmd_recover, [inp], "rebuild a vertex coloring from pairs"
     )
     p_recover.add_argument(
         "--pairs", required=True, help="JSON file with a 'pairs' object"
     )
-    p_recover.set_defaults(func=_cmd_recover)
-    p_rk = sub.add_parser(
-        "enum-rk", parents=[shared], help="six-arc digraph census for k=1..4"
-    )
+    p_rk = command("enum-rk", _cmd_enum_rk, [], "six-arc digraph census for k=1..4")
     p_rk.add_argument("--k", type=int, choices=(1, 2, 3, 4), default=None)
-    p_rk.set_defaults(func=_cmd_enum_rk)
-    p_p4 = sub.add_parser(
-        "enum-p4", parents=[shared], help="symmetric and asymmetric 4x4 censuses"
+    p_p4 = command(
+        "enum-p4", _cmd_enum_p4, [], "symmetric and asymmetric 4x4 censuses"
     )
     p_p4.add_argument("--full", action="store_true", help="include all 20 matrices")
-    p_p4.set_defaults(func=_cmd_enum_p4)
-    p_scan = sub.add_parser(
-        "scan", parents=[shared], help="hypothesis scan over a corpus"
+    p_scan = command(
+        "scan", _cmd_scan, [inp, seed, search, jobs], "hypothesis scan over a corpus"
     )
     p_scan.add_argument("--gen", action="store_true", help="use the generated corpus")
     p_scan.add_argument(
@@ -440,12 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument("--counterexample-dir", default=None)
     _add_recipe_flags(p_scan)
-    p_gen = sub.add_parser(
-        "gen", parents=[shared], help="write the generated corpus to a directory"
+    p_gen = command(
+        "gen", _cmd_gen, [seed], "write the generated corpus to a directory"
     )
     _add_recipe_flags(p_gen)
-    p_gen.set_defaults(func=_cmd_gen)
-    p_scan.set_defaults(func=_cmd_scan)
     return parser
 
 

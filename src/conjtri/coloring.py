@@ -14,13 +14,12 @@ indeterminate result carrying the best proven bounds.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import core
 from .graphs import SizeLimitError, UndirectedGraph, connected_components
-from .construct import LineGraphResult, line_graph_of
+from .construct import line_graph_of
 
 DEFAULT_VERTEX_CAP = 60
 DEFAULT_EDGE_CAP = 60
@@ -74,7 +73,6 @@ class ChromaticResult:
     upper: int
     witness: Optional[object]
     nodes: int
-    elapsed: float
     certificate: Optional[str] = None
 
     @property
@@ -190,27 +188,6 @@ def decide_k_coloring(
     return status, witness, nodes
 
 
-def is_k_colorable(
-    g: UndirectedGraph,
-    k: int,
-    max_vertices: int = DEFAULT_VERTEX_CAP,
-    node_budget: int = 0,
-) -> Optional[VertexColoring]:
-    """Exact search for a proper k-coloring; None means none exists.
-
-    Raises SizeLimitError above ``max_vertices`` and SearchBudgetExceeded
-    when the budget runs out before an answer is proven.
-    """
-    status, witness, _ = decide_k_coloring(g, k, max_vertices, node_budget)
-    if status == core.ABORTED:
-        raise SearchBudgetExceeded(f"{k}-colorability undecided within budget")
-    return witness
-
-
-class SearchBudgetExceeded(RuntimeError):
-    pass
-
-
 def chromatic_number(
     g: UndirectedGraph,
     max_vertices: int = DEFAULT_VERTEX_CAP,
@@ -227,15 +204,12 @@ def chromatic_number(
         raise SizeLimitError(
             f"vertex coloring capped at {max_vertices} vertices, got {g.vertex_count}"
         )
-    t0 = time.perf_counter()
     n = g.vertex_count
     if n == 0:
-        return ChromaticResult(0, 0, 0, VertexColoring((), 0), 0, 0.0)
+        return ChromaticResult(0, 0, 0, VertexColoring((), 0), 0)
     ub = greedy if greedy is not None else greedy_coloring(g)
     if g.edge_count == 0:
-        return ChromaticResult(
-            1, 1, 1, VertexColoring((0,) * n, 1), 0, time.perf_counter() - t0
-        )
+        return ChromaticResult(1, 1, 1, VertexColoring((0,) * n, 1), 0)
     clique = greedy_clique(g)
     lb = max(2, len(clique), lower_bound)
     pinned = [-1] * n
@@ -245,29 +219,15 @@ def chromatic_number(
     for k in range(lb, ub.palette_size + 1):
         if k >= ub.palette_size:
             # The greedy witness already proves k colors suffice.
-            return ChromaticResult(
-                k, k, k, ub, total_nodes, time.perf_counter() - t0
-            )
+            return ChromaticResult(k, k, k, ub, total_nodes)
         status, colors, nodes = _decide(g, k, pinned, node_budget)
         total_nodes += nodes
         if status == core.SAT:
             return ChromaticResult(
-                k,
-                k,
-                k,
-                VertexColoring(tuple(colors), k),
-                total_nodes,
-                time.perf_counter() - t0,
+                k, k, k, VertexColoring(tuple(colors), k), total_nodes
             )
         if status == core.ABORTED:
-            return ChromaticResult(
-                None,
-                k,
-                ub.palette_size,
-                None,
-                total_nodes,
-                time.perf_counter() - t0,
-            )
+            return ChromaticResult(None, k, ub.palette_size, None, total_nodes)
     raise AssertionError("greedy upper bound was not reached")
 
 
@@ -291,10 +251,11 @@ def parity_proves_class_two(g: UndirectedGraph) -> bool:
 
 
 def kempe_edge_coloring(
-    g: UndirectedGraph, lg: LineGraphResult, greedy: VertexColoring
+    g: UndirectedGraph, greedy: VertexColoring
 ) -> tuple[Optional[EdgeColoring], int]:
-    """Try to recolor the greedy line-graph coloring ``greedy`` into a
-    Delta-edge-coloring by Kempe-chain swaps (Misra and Gries, 1992).
+    """Try to recolor the greedy line-graph coloring ``greedy`` (vertex ``i``
+    is edge id ``i + 1``) into a Delta-edge-coloring by Kempe-chain swaps
+    (Misra and Gries, 1992).
 
     Edges the greedy coloring gives a color below Delta keep it; the rest
     wait on a LIFO queue.  A step pops an edge uv.  A color free at both
@@ -327,8 +288,7 @@ def kempe_edge_coloring(
             at[u][c] = at[v][c] = eid
 
     queue = []
-    for i, c in enumerate(greedy.colors):
-        eid = lg.edge_of_g_vertex[i]
+    for eid, c in enumerate(greedy.colors, start=1):
         if c < delta:
             paint(eid, c)
         else:
@@ -378,7 +338,7 @@ def chromatic_class(
     max_edges: int = DEFAULT_EDGE_CAP,
     node_budget: int = 0,
     *,
-    lg: Optional[LineGraphResult] = None,
+    lg: Optional[UndirectedGraph] = None,
     greedy: Optional[VertexColoring] = None,
 ) -> ChromaticResult:
     """Exact edge chromatic number, solved as vertex coloring of the line graph.
@@ -391,27 +351,24 @@ def chromatic_class(
     edges at a vertex of degree Delta need Delta colors, and no search runs.
     When the search runs out of budget, Vizing's theorem (chi <= Delta + 1
     on a simple graph) caps the greedy upper bound.  ``lg`` is
-    ``line_graph_of(g)`` and ``greedy`` is ``greedy_coloring(lg.graph)``
+    ``line_graph_of(g)`` and ``greedy`` is ``greedy_coloring(lg)``
     when the caller already has them."""
     if g.edge_count > max_edges:
         raise SizeLimitError(
             f"edge coloring capped at {max_edges} edges, got {g.edge_count}"
         )
-    t0 = time.perf_counter()
     if lg is None:
         lg = line_graph_of(g)
     if greedy is None:
-        greedy = greedy_coloring(lg.graph)
+        greedy = greedy_coloring(lg)
     delta = max(g.degrees, default=0)
     parity = parity_proves_class_two(g)
     if not parity and 0 < delta < greedy.palette_size:
-        witness, _ = kempe_edge_coloring(g, lg, greedy)
+        witness, _ = kempe_edge_coloring(g, greedy)
         if witness is not None and not verify_edge_coloring(g, witness):
-            return ChromaticResult(
-                delta, delta, delta, witness, 0, time.perf_counter() - t0, "kempe"
-            )
+            return ChromaticResult(delta, delta, delta, witness, 0, "kempe")
     result = chromatic_number(
-        lg.graph,
+        lg,
         max_vertices=max_edges,
         node_budget=node_budget,
         lower_bound=delta + 1 if parity else 0,
@@ -421,18 +378,16 @@ def chromatic_class(
         result.value,
         result.lower,
         min(result.upper, delta + 1),
-        None if result.witness is None else edge_coloring_of(lg, result.witness),
+        None if result.witness is None else edge_coloring_of(result.witness),
         result.nodes,
-        time.perf_counter() - t0,
         "parity" if parity else None,
     )
 
 
-def edge_coloring_of(lg: LineGraphResult, vc: VertexColoring) -> EdgeColoring:
-    """Read a vertex coloring of the line graph ``lg`` as an edge coloring."""
-    return EdgeColoring(
-        {lg.edge_of_g_vertex[i]: c for i, c in enumerate(vc.colors)}, vc.palette_size
-    )
+def edge_coloring_of(vc: VertexColoring) -> EdgeColoring:
+    """Read a vertex coloring of a line graph, whose vertex ``i`` is edge id
+    ``i + 1``, as an edge coloring."""
+    return EdgeColoring(dict(enumerate(vc.colors, start=1)), vc.palette_size)
 
 
 def verify_vertex_coloring(g: UndirectedGraph, c: VertexColoring) -> list[int]:

@@ -84,13 +84,6 @@ class ConjugatedTriangulation:
 
 
 @dataclass(frozen=True)
-class LineGraphResult:
-    graph: UndirectedGraph
-    g_vertex_of_edge: dict[int, int]
-    edge_of_g_vertex: dict[int, int]
-
-
-@dataclass(frozen=True)
 class EulerCircuit:
     """Closed walk v0, e1, v1, ..., em, vm with vm = v0 covering every edge once."""
 
@@ -165,9 +158,9 @@ def require_conjugated(
     return result
 
 
-def line_graph_of(g: UndirectedGraph) -> LineGraphResult:
+def line_graph_of(g: UndirectedGraph) -> UndirectedGraph:
     """Edge-adjacency graph: one vertex per edge of ``g``, adjacent iff the
-    edges share an endpoint.  G-vertex ``i`` corresponds to edge id ``i + 1``."""
+    edges share an endpoint.  Vertex ``i`` stands for edge id ``i + 1``."""
     m = g.edge_count
     g_edges = []
     for v in range(g.vertex_count):
@@ -176,10 +169,7 @@ def line_graph_of(g: UndirectedGraph) -> LineGraphResult:
             for j in range(i + 1, len(inc)):
                 g_edges.append((inc[i] - 1, inc[j] - 1))
     # Two simple edges share at most one endpoint, so no duplicates arise.
-    lg = UndirectedGraph(m, sorted(set(g_edges)))
-    fwd = {eid: eid - 1 for eid in range(1, m + 1)}
-    back = {eid - 1: eid for eid in range(1, m + 1)}
-    return LineGraphResult(lg, fwd, back)
+    return UndirectedGraph(m, sorted(set(g_edges)))
 
 
 def euler_circuit(
@@ -279,8 +269,9 @@ def medial_graph(
     are consecutive around a face.  For a cycle the medial is the cycle
     itself; otherwise every vertex of ``t`` must have degree >= 3, which
     rules out digon corners and makes the result simple and 4-regular.
-    The output rotation is derived from the input embedding and re-verified,
-    never assumed."""
+    The input embedding must pass the planarity check; its faces and vertex
+    rotations become the faces of the output rotation, which is not checked
+    again here."""
     faces, verdict = faces_and_genus_check(t, rot)
     if not verdict:
         raise ValueError("input embedding is not planar-verified")
@@ -311,25 +302,16 @@ def medial_graph(
 
     dedup = sorted({(min(e), max(e)) for e in medial_edges})
     mg = UndirectedGraph(m, dedup)
-    mrot = rotation_from_oriented_faces(mg, face_cycles + vertex_cycles)
-    _, ok = faces_and_genus_check(mg, mrot)
-    if not ok:
-        raise RotationError("derived medial embedding failed the planarity check")
-    return mg, mrot
+    return mg, rotation_from_oriented_faces(mg, face_cycles + vertex_cycles)
 
 
 def subdivide_edges(
-    h: Union[ConjugatedTriangulation, tuple[UndirectedGraph, Optional[RotationSystem]]],
-    count: int,
-    seed: int,
-) -> ConjugatedTriangulation:
-    """Replace ``count`` randomly chosen distinct edges by length-2 paths.
-    New vertices get degree 2; old degrees and planarity are unchanged.
-
-    ``h`` may also be an unvalidated (graph, rotation) pair, the rotation
-    covering the graph's edges: the result is validated, and subdividing
-    keeps every failure of the input."""
-    g, rot = (h.graph, h.rotation) if isinstance(h, ConjugatedTriangulation) else h
+    g: UndirectedGraph, rot: RotationSystem, count: int, seed: int
+) -> tuple[UndirectedGraph, RotationSystem]:
+    """Replace ``count`` randomly chosen distinct edges of ``g`` by length-2
+    paths, and carry the rotation ``rot`` over to the result.  New vertices
+    get degree 2; old degrees and faces are unchanged.  The result is not
+    validated here; a scan validates every instance it evaluates."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if count > g.edge_count:
@@ -354,23 +336,19 @@ def subdivide_edges(
             new_edges.append((u, v))
             replacement[old_eid] = (-1, len(new_edges), len(new_edges))
 
-    result = UndirectedGraph(n, new_edges)
-    new_rot = None
-    if rot is not None:
-        orders = []
-        for v in range(g.vertex_count):
-            row = []
-            for eid in rot.orders[v]:
-                w, eid_uw, eid_wv = replacement[eid]
-                if w < 0:
-                    row.append(eid_uw)
-                else:
-                    u0, _ = g.edge_by_id(eid)
-                    row.append(eid_uw if v == u0 else eid_wv)
-            orders.append(tuple(row))
-        for eid in sorted(replacement):
+    orders = []
+    for v in range(g.vertex_count):
+        row = []
+        for eid in rot.orders[v]:
             w, eid_uw, eid_wv = replacement[eid]
-            if w >= 0:
-                orders.append((eid_uw, eid_wv))
-        new_rot = RotationSystem(orders)
-    return require_conjugated(result, new_rot)
+            if w < 0:
+                row.append(eid_uw)
+            else:
+                u0, _ = g.edge_by_id(eid)
+                row.append(eid_uw if v == u0 else eid_wv)
+        orders.append(tuple(row))
+    for eid in sorted(replacement):
+        w, eid_uw, eid_wv = replacement[eid]
+        if w >= 0:
+            orders.append((eid_uw, eid_wv))
+    return UndirectedGraph(n, new_edges), RotationSystem(orders)

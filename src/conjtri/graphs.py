@@ -222,9 +222,6 @@ class RotationSystem:
                     f"rotation at vertex {v} is not a permutation of its incident edges"
                 )
 
-    def position(self, v: int, eid: int) -> int:
-        return self.orders[v].index(eid)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -281,18 +278,6 @@ def find_triangles(g: UndirectedGraph) -> list[tuple[int, int, int]]:
             if w > v and w in adj[v]:
                 out.append((u, v, w))
     return sorted(out)
-
-
-def contains_complete_component(g: UndirectedGraph, n: int) -> bool:
-    """True iff some connected component is exactly the complete graph K_n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    for block in connected_components(g):
-        if len(block) != n:
-            continue
-        if all(g.degrees[v] == n - 1 for v in block):
-            return True
-    return False
 
 
 def _vertex_triangle_counts(g: UndirectedGraph) -> list[int]:

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from . import __version__
-from .graphs import UndirectedGraph, degree_profile
+from .graphs import degree_profile
 from .construct import (
     ConjugatedTriangulation,
     ValidationReport,
@@ -83,6 +83,14 @@ class GenRecipe:
             raise ValueError("subdivisions must be a non-empty tuple of non-negatives")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
+        # The smallest cell is the triangle (3 edges, its own medial) when
+        # 0 inserts are asked for, else a medial graph with 6 + 6i edges.
+        fewest = 3 if 0 in self.inserts else 6 + 6 * min(self.inserts)
+        if max(self.subdivisions) > fewest:
+            raise ValueError(
+                f"{max(self.subdivisions)} subdivisions exceed the {fewest} "
+                f"edges of the smallest cell (inserts {min(self.inserts)})"
+            )
 
     def max_edges_bound(self) -> int:
         # The medial of a triangulation grown by i inserts has 6 + 6i edges.
@@ -241,9 +249,10 @@ def _derive_seed(base: int, *parts: int) -> int:
     return x
 
 
-def generate_corpus(recipe: GenRecipe) -> list[tuple[str, ConjugatedTriangulation]]:
-    """Deterministic corpus: one conjugated graph per (inserts, subdivisions,
-    replicate) cell, ids stable across runs."""
+def generate_corpus(recipe: GenRecipe) -> list[tuple[str, bytes]]:
+    """Deterministic corpus: one serialized graph file per (inserts,
+    subdivisions, replicate) cell, ids stable across runs.  The bytes are
+    those ``--input`` reads; ``evaluate_instance`` validates them."""
     out = []
     for i in recipe.inserts:
         for s in recipe.subdivisions:
@@ -251,9 +260,8 @@ def generate_corpus(recipe: GenRecipe) -> list[tuple[str, ConjugatedTriangulatio
                 tri_seed = _derive_seed(recipe.base_seed, i, s, r, 0)
                 sub_seed = _derive_seed(recipe.base_seed, i, s, r, 1)
                 t, rot = generate_stacked_triangulation(i, tri_seed)
-                mg, mrot = medial_graph(t, rot)
-                ct = subdivide_edges((mg, mrot), s, sub_seed)
-                out.append((f"gen-i{i}-s{s}-r{r}", ct))
+                g, grot = subdivide_edges(*medial_graph(t, rot), s, sub_seed)
+                out.append((f"gen-i{i}-s{s}-r{r}", serialize_graph_file(g, grot)))
     return out
 
 
@@ -352,7 +360,7 @@ def evaluate_instance(
 
     greedy = greedy_coloring(graph)
     lg = line_graph_of(graph)
-    lg_greedy = greedy_coloring(lg.graph)
+    lg_greedy = greedy_coloring(lg)
     vb = coloring_bounds(graph, greedy)
     rec.bounds = {
         "brooks": vb.brooks,
@@ -402,7 +410,7 @@ def evaluate_instance(
             # when it uses at most EDGE_COLOR_TARGET colors.
             ec = chi.witness
             if ec is None and lg_greedy.palette_size <= EDGE_COLOR_TARGET:
-                ec = edge_coloring_of(lg, lg_greedy)
+                ec = edge_coloring_of(lg_greedy)
             if ec is not None:
                 rec.witnesses["h11_edge_coloring"] = {
                     str(eid): c for eid, c in sorted(ec.colors.items())
@@ -467,10 +475,7 @@ def _load_corpus(config: ScanConfig) -> list[tuple[str, bytes]]:
                 raise ScanInputError(f"cannot read {path}: {exc}") from None
             corpus.append((os.path.basename(path), blob))
         return corpus
-    return [
-        (iid, serialize_graph_file(ct.graph, ct.rotation))
-        for iid, ct in generate_corpus(config.recipe)
-    ]
+    return generate_corpus(config.recipe)
 
 
 def run_hypothesis_scan(config: ScanConfig) -> ScanReport:

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from conjtri.construct import require_conjugated
+from conjtri.graphio import parse_graph_file
 from conjtri.graphs import UndirectedGraph
 from conjtri.scan import GenRecipe, generate_corpus
 
@@ -40,15 +42,25 @@ def named_graphs():
     }
 
 
+def validated_corpus(recipe: GenRecipe) -> list:
+    """``generate_corpus(recipe)`` with every file parsed and validated, as
+    (id, ConjugatedTriangulation) pairs.  Generation does not validate its
+    output, so each test built on this re-proves that it is valid."""
+    return [
+        (iid, require_conjugated(*parse_graph_file(blob)))
+        for iid, blob in generate_corpus(recipe)
+    ]
+
+
 @pytest.fixture(scope="session")
 def default_corpus():
     """The full generated corpus used by the acceptance gate: 9 insert
     counts x 4 subdivision counts x 3 replicates = 108 instances."""
-    return generate_corpus(GenRecipe())
+    return validated_corpus(GenRecipe())
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    return generate_corpus(
+    return validated_corpus(
         GenRecipe(inserts=(0, 1, 2), subdivisions=(0, 2), replicates=2, base_seed=11)
     )

@@ -186,8 +186,7 @@ def test_criterion_07_line_graph_degrees_are_two_four_or_six(capsys, default_cor
     with _verdict(capsys, 7, "line-graph degrees land in {2, 4, 6}") as note:
         seen: set[int] = set()
         for iid, ct in default_corpus:
-            lg = line_graph_of(ct.graph)
-            degrees = set(lg.graph.degrees)
+            degrees = set(line_graph_of(ct.graph).degrees)
             assert degrees <= {2, 4, 6}, iid
             seen |= degrees
         note["detail"] = f"observed degree set {sorted(seen)} over the corpus"
@@ -205,7 +204,7 @@ def test_criterion_08_solver_agrees_with_the_exhaustive_oracle(capsys):
                 mismatches += 1
             lg = line_graph_of(g)
             want_chi = oracles.chromatic_number_inclusion_exclusion(
-                lg.graph.vertex_count, lg.graph.edges
+                lg.vertex_count, lg.edges
             )
             if chromatic_class(g).value != want_chi:
                 mismatches += 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
 import sys
 
 import jsonschema
@@ -12,6 +13,7 @@ import pytest
 
 from conjtri import cli
 from conjtri import scan as scan_module
+from conjtri.construct import ConjugatedTriangulation, validate_conjugated
 from conjtri.graphio import parse_graph_file, serialize_graph_file
 from conjtri.graphs import UndirectedGraph
 from conjtri.scan import report_schema
@@ -263,6 +265,34 @@ class TestScanAndGen:
             with open(name, "rb") as fh:
                 parse_graph_file(fh.read())
 
+    def test_gen_files_are_valid_instances(self, tmp_path, capsys):
+        # Generation does not validate what it writes; this test does.
+        dest = tmp_path / "corpus"
+        argv = ["gen", "--output", str(dest), "--inserts", "4", "--replicates", "2"]
+        out = _run_json(capsys, [*argv, "--seed", "3"])
+        assert out["count"] == 5 * 4 * 2
+        recipe = scan_module.GenRecipe(
+            inserts=tuple(range(5)), replicates=2, base_seed=3
+        )
+        blobs = dict(scan_module.generate_corpus(recipe))
+        for name in out["files"]:
+            with open(name, "rb") as fh:
+                data = fh.read()
+            outcome = validate_conjugated(*parse_graph_file(data))
+            assert isinstance(outcome, ConjugatedTriangulation), (name, outcome)
+            assert outcome.validation.check("planarity").status == "pass", name
+            assert data == blobs[os.path.basename(name)[: -len(".conj")]]
+
+    @pytest.mark.parametrize("command", ["gen", "scan"])
+    def test_too_many_subdivisions_is_usage_error(self, tmp_path, capsys, command):
+        dest = tmp_path / "out"
+        argv = [command, "--inserts", "0", "--subdivisions", "4", "--output", str(dest)]
+        if command == "scan":
+            argv.append("--gen")
+        assert cli.main(argv) == 1
+        assert "4 subdivisions exceed the 3 edges" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_scan_gen_writes_valid_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = cli.main(
@@ -412,6 +442,41 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--jobs", "2"],
+            ["gamma", "--seed", "1"],
+            ["chi", "--jobs", "2"],
+            ["euler", "--max-n", "10"],
+            ["recover", "--pairs", "p.json", "--timeout-ms", "10"],
+            ["gen", "--input", "x.conj"],
+            ["gen", "--jobs", "2"],
+            ["enum-rk", "--input", "x.conj"],
+            ["enum-p4", "--seed", "1"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+    def test_benchmark_argv_forms_parse(self):
+        # The command lines the benchmark harness passes, flag for flag.
+        recipe = ["--inserts", "9", "--subdivisions", "3", "--replicates", "48",
+                  "--seed", "1"]
+        out = ["--output", "r.json", "--counterexample-dir", "cex"]
+        parser = cli.build_parser()
+        gen = parser.parse_args(["gen", "--output", "inputs", *recipe])
+        assert (gen.func, gen.output, gen.seed) == (cli._cmd_gen, "inputs", 1)
+        scan_gen = parser.parse_args(["scan", "--gen", *recipe, "--max-n", "64", *out])
+        assert (scan_gen.gen, scan_gen.max_n, scan_gen.replicates) == (True, 64, 48)
+        scan_files = parser.parse_args(
+            ["scan", "--input", "inputs", "--max-n", "60", *out]
+        )
+        assert (scan_files.input, scan_files.counterexample_dir) == ("inputs", "cex")
 
     def test_bad_flag_value(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -15,7 +15,6 @@ from conjtri.graphs import SizeLimitError, UndirectedGraph
 from conjtri.scan import ScanConfig, run_hypothesis_scan
 from conjtri.coloring import (
     EdgeColoring,
-    SearchBudgetExceeded,
     VertexColoring,
     chromatic_class,
     chromatic_number,
@@ -24,7 +23,6 @@ from conjtri.coloring import (
     exhaustive_chromatic_number,
     greedy_clique,
     greedy_coloring,
-    is_k_colorable,
     kempe_edge_coloring,
     parity_proves_class_two,
     verify_edge_coloring,
@@ -223,7 +221,7 @@ class TestParityCertificate:
                 # The Kempe step runs when the greedy coloring needs more
                 # than Delta colors; here it settles exactly the class-1 graphs.
                 delta = max(g.degrees)
-                runs = greedy_coloring(line_graph_of(g).graph).palette_size > delta
+                runs = greedy_coloring(line_graph_of(g)).palette_size > delta
                 kempe = runs and want == delta
                 assert res.certificate == ("kempe" if kempe else None)
         assert fired > 10
@@ -258,7 +256,7 @@ class TestParityCertificate:
         assert res.certificate == "parity"
         assert verify_edge_coloring(k5, res.witness) == []
         # Only the k = 5 decision ran: its node count is all there is.
-        lg = line_graph_of(k5).graph
+        lg = line_graph_of(k5)
         _, _, five_nodes = decide_k_coloring(lg, 5)
         assert res.nodes == five_nodes
         assert chromatic_number(lg).nodes > res.nodes
@@ -280,7 +278,7 @@ def _kempe_runs(g):
     step on ``g``, else None."""
     if not g.edge_count or parity_proves_class_two(g):
         return None
-    greedy = greedy_coloring(line_graph_of(g).graph)
+    greedy = greedy_coloring(line_graph_of(g))
     return greedy if greedy.palette_size > max(g.degrees) else None
 
 
@@ -288,7 +286,7 @@ def _check_kempe(g, greedy, want):
     """Run the Kempe step from ``greedy``, check what it returns against
     the exact value ``want``, and say whether it settled chi."""
     delta = max(g.degrees)
-    witness, steps = kempe_edge_coloring(g, line_graph_of(g), greedy)
+    witness, steps = kempe_edge_coloring(g, greedy)
     res = chromatic_class(g)
     if witness is None:
         # On the graphs tested, the step gives up only on class-2 graphs.
@@ -308,11 +306,12 @@ def _check_kempe(g, greedy, want):
 _HASHSEED_SCRIPT = """
 import json
 from conjtri.coloring import chromatic_class
+from conjtri.graphio import parse_graph_file
 from conjtri.scan import GenRecipe, generate_corpus
 out = {}
 recipe = GenRecipe(inserts=(3,), subdivisions=(0, 2), replicates=4)
-for iid, ct in generate_corpus(recipe):
-    res = chromatic_class(ct.graph)
+for iid, blob in generate_corpus(recipe):
+    res = chromatic_class(parse_graph_file(blob)[0])
     if res.certificate == "kempe":
         out[iid] = sorted(res.witness.colors.items())
 print(json.dumps(out, sort_keys=True))
@@ -348,7 +347,7 @@ class TestKempeStep:
         g = named_graphs["petersen"]  # 3-regular, class 2, parity silent
         greedy = _kempe_runs(g)
         assert greedy is not None
-        witness, steps = kempe_edge_coloring(g, line_graph_of(g), greedy)
+        witness, steps = kempe_edge_coloring(g, greedy)
         assert witness is None
         assert steps == coloring.KEMPE_STEPS_PER_EDGE * g.edge_count == 300
         res = chromatic_class(g)
@@ -467,11 +466,6 @@ class TestDecide:
         a = decide_k_coloring(g, 5, node_budget=500)
         b = decide_k_coloring(g, 5, node_budget=500)
         assert a == b
-
-    def test_is_k_colorable_raises_on_budget(self):
-        g = mycielski(4)
-        with pytest.raises(SearchBudgetExceeded):
-            is_k_colorable(g, 5, node_budget=500)
 
     def test_indeterminate_result_keeps_bounds(self):
         g = mycielski(4)

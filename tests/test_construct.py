@@ -73,11 +73,11 @@ class TestValidation:
 class TestLineGraph:
     def test_cycle_maps_to_cycle(self, named_graphs):
         lg = line_graph_of(named_graphs["c4"])
-        assert are_isomorphic(lg.graph, named_graphs["c4"])[0]
+        assert are_isomorphic(lg, named_graphs["c4"])[0]
 
     def test_k4_maps_to_octahedron(self, named_graphs):
         lg = line_graph_of(named_graphs["k4"])
-        assert are_isomorphic(lg.graph, octahedron())[0]
+        assert are_isomorphic(lg, octahedron())[0]
 
     def test_degree_formula(self, named_graphs):
         g = named_graphs["bowtie"]
@@ -85,17 +85,12 @@ class TestLineGraph:
         for eid in range(1, g.edge_count + 1):
             u, v = g.edge_by_id(eid)
             expected = g.degrees[u] + g.degrees[v] - 2
-            assert lg.graph.degrees[lg.g_vertex_of_edge[eid]] == expected
+            assert lg.degrees[eid - 1] == expected
 
     def test_edge_count_formula(self, named_graphs):
         g = named_graphs["petersen"]
         lg = line_graph_of(g)
-        assert lg.graph.edge_count == sum(d * (d - 1) for d in g.degrees) // 2
-
-    def test_vertex_edge_correspondence(self, named_graphs):
-        lg = line_graph_of(named_graphs["triangle"])
-        for eid in range(1, 4):
-            assert lg.edge_of_g_vertex[lg.g_vertex_of_edge[eid]] == eid
+        assert lg.edge_count == sum(d * (d - 1) for d in g.degrees) // 2
 
 
 class TestEulerCircuit:
@@ -210,10 +205,16 @@ class TestSubdivision:
         mg, mrot = medial_graph(t, rot)
         return require_conjugated(mg, mrot)
 
+    def _subdivided_ct(self, ct, count, seed):
+        # subdivide_edges does not validate its result; the test does.
+        out = validate_conjugated(*subdivide_edges(ct.graph, ct.rotation, count, seed))
+        assert isinstance(out, ConjugatedTriangulation), out
+        return out
+
     def test_counts_and_degrees(self):
         ct = self._medial_ct(3, seed=4)
         before = degree_profile(ct.graph).histogram
-        out = subdivide_edges(ct, 5, seed=7)
+        out = self._subdivided_ct(ct, 5, seed=7)
         after = degree_profile(out.graph).histogram
         assert out.graph.vertex_count == ct.graph.vertex_count + 5
         assert out.graph.edge_count == ct.graph.edge_count + 5
@@ -222,22 +223,23 @@ class TestSubdivision:
 
     def test_planarity_preserved(self):
         ct = self._medial_ct(2, seed=2)
-        out = subdivide_edges(ct, 4, seed=3)
+        out = self._subdivided_ct(ct, 4, seed=3)
         assert out.validation.check("planarity").status == "pass"
 
     def test_zero_is_identity(self):
         ct = self._medial_ct(2, seed=2)
-        out = subdivide_edges(ct, 0, seed=5)
+        out = self._subdivided_ct(ct, 0, seed=5)
         assert out.graph == ct.graph
 
     def test_too_many_rejected(self):
         ct = self._medial_ct(1, seed=1)
         with pytest.raises(ValueError):
-            subdivide_edges(ct, ct.graph.edge_count + 1, seed=1)
+            subdivide_edges(ct.graph, ct.rotation, ct.graph.edge_count + 1, seed=1)
 
     def test_deterministic(self):
         ct = self._medial_ct(2, seed=8)
-        assert subdivide_edges(ct, 3, seed=5).graph == subdivide_edges(ct, 3, seed=5).graph
+        first = self._subdivided_ct(ct, 3, seed=5)
+        assert first.graph == self._subdivided_ct(ct, 3, seed=5).graph
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,6 +253,7 @@ def test_recipe_cells_always_yield_valid_instances(inserts, subs, seed):
     mg, mrot = medial_graph(t, rot)
     ct = require_conjugated(mg, mrot)
     subs = min(subs, ct.graph.edge_count)
-    out = subdivide_edges(ct, subs, seed + 1)
+    out = validate_conjugated(*subdivide_edges(ct.graph, ct.rotation, subs, seed + 1))
+    assert isinstance(out, ConjugatedTriangulation), out
     assert out.validation.passed
     assert set(degree_profile(out.graph).histogram) <= {2, 4}

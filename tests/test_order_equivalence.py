@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conjtri.coloring import greedy_coloring, smallest_last_order
 from conjtri.construct import generate_stacked_triangulation, line_graph_of
+from conjtri.graphio import parse_graph_file
 from conjtri.graphs import RotationSystem, UndirectedGraph, faces_and_genus_check
 from conjtri.scan import GenRecipe, generate_corpus
 
@@ -54,7 +55,7 @@ def generated_cells():
     """Every insert count 0..9 with 0..3 subdivisions, plus the stacked
     triangulations the cells are grown from."""
     recipe = GenRecipe(inserts=tuple(range(10)), replicates=2, base_seed=5)
-    cells = [(ct.graph, ct.rotation) for _, ct in generate_corpus(recipe)]
+    cells = [parse_graph_file(blob) for _, blob in generate_corpus(recipe)]
     cells += [generate_stacked_triangulation(i, 100 + i) for i in range(10)]
     return cells
 
@@ -67,7 +68,7 @@ class TestSmallestLastOrder:
     def test_generated_cells_and_their_line_graphs(self, generated_cells):
         for g, _ in generated_cells:
             assert_same_order_and_colors(g)
-            assert_same_order_and_colors(line_graph_of(g).graph)
+            assert_same_order_and_colors(line_graph_of(g))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))

@@ -24,7 +24,8 @@ from conjtri.pairs import (
     recover_vertex_coloring,
     sibling_constraint_graph,
 )
-from conjtri.scan import GenRecipe, generate_corpus
+from conjtri.scan import GenRecipe
+from conftest import validated_corpus
 
 
 def _oriented(g: UndirectedGraph):
@@ -281,7 +282,7 @@ class TestSiblingReduction:
             inserts=(0, 1), subdivisions=(0, 1), replicates=1, base_seed=7
         )
         checked = 0
-        for _, h in generate_corpus(recipe):
+        for _, h in validated_corpus(recipe):
             if h.graph.vertex_count > 10:
                 continue
             oh = orient_along_circuit(h, euler_circuit(h))

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conjtri.graphio import serialize_graph_file
 from conjtri.scan import (
     GenRecipe,
     ScanConfig,
@@ -25,9 +24,9 @@ def _scan(directory: Path) -> Path:
     # under its own directory, so the absolute paths differ between runs.
     directory.mkdir()
     files = []
-    for iid, ct in generate_corpus(RECIPE):
+    for iid, blob in generate_corpus(RECIPE):
         path = directory / f"{iid}.conj"
-        path.write_bytes(serialize_graph_file(ct.graph, ct.rotation))
+        path.write_bytes(blob)
         files.append(str(path))
     config = ScanConfig(
         source_files=tuple(files),

@@ -13,8 +13,8 @@ from conjtri.coloring import (
     ChromaticResult,
     EdgeColoring,
     verify_edge_coloring,
-    verify_vertex_coloring,
 )
+from conjtri.construct import ConjugatedTriangulation, validate_conjugated
 from conjtri.graphio import parse_graph_file, serialize_graph_file
 from conjtri.graphs import UndirectedGraph
 from conjtri import scan as scan_module
@@ -77,6 +77,16 @@ class TestGenRecipe:
         with pytest.raises(ValueError):
             GenRecipe(**kwargs)
 
+    def test_subdivisions_fit_the_smallest_cell(self):
+        # One insert grows K4, whose medial (the octahedron) has 12 edges.
+        GenRecipe(inserts=(1,), subdivisions=(12,))
+        with pytest.raises(ValueError, match=r"\b13\b.*\b12 edges"):
+            GenRecipe(inserts=(1,), subdivisions=(13,))
+        # With 0 inserts the smallest cell is the triangle itself.
+        GenRecipe(inserts=(0, 5), subdivisions=(3,))
+        with pytest.raises(ValueError, match=r"\b4\b.*\b3 edges"):
+            GenRecipe(inserts=(0, 5), subdivisions=(0, 4))
+
     def test_bounds_track_the_largest_cell(self):
         r = GenRecipe(inserts=(0, 4), subdivisions=(0, 3), replicates=1)
         assert r.max_edges_bound() == 6 + 24 + 3
@@ -131,35 +141,43 @@ class TestCorpus:
             assert degrees <= {2, 4}, iid
             assert ct.validation.passed, iid
 
+    @pytest.mark.parametrize(
+        "inserts, replicates", [(9, 48), (4, 40), (6, 48)], ids=str
+    )
+    def test_benchmark_recipes_yield_valid_instances(self, inserts, replicates):
+        # The recipes of the scan-deep, scan-files and scan-pure benchmark
+        # workloads at seed 1.  Generation does not validate its output.
+        recipe = GenRecipe(
+            inserts=tuple(range(inserts + 1)),
+            subdivisions=(0, 1, 2, 3),
+            replicates=replicates,
+            base_seed=1,
+        )
+        corpus = generate_corpus(recipe)
+        assert len(corpus) == (inserts + 1) * 4 * replicates
+        for iid, blob in corpus:
+            outcome = validate_conjugated(*parse_graph_file(blob))
+            assert isinstance(outcome, ConjugatedTriangulation), (iid, outcome)
+            assert outcome.validation.check("planarity").status == "pass", iid
+
     def test_generation_is_deterministic(self):
-        first = [
-            (iid, serialize_graph_file(ct.graph, ct.rotation))
-            for iid, ct in generate_corpus(SMALL_RECIPE)
-        ]
-        second = [
-            (iid, serialize_graph_file(ct.graph, ct.rotation))
-            for iid, ct in generate_corpus(SMALL_RECIPE)
-        ]
-        assert first == second
+        assert generate_corpus(SMALL_RECIPE) == generate_corpus(SMALL_RECIPE)
 
     def test_seed_changes_the_corpus(self):
         a = generate_corpus(GenRecipe(inserts=(4,), subdivisions=(2,), replicates=2, base_seed=1))
         b = generate_corpus(GenRecipe(inserts=(4,), subdivisions=(2,), replicates=2, base_seed=2))
-        blobs_a = [serialize_graph_file(ct.graph, ct.rotation) for _, ct in a]
-        blobs_b = [serialize_graph_file(ct.graph, ct.rotation) for _, ct in b]
-        assert blobs_a != blobs_b
+        assert [blob for _, blob in a] != [blob for _, blob in b]
 
     def test_replicates_differ_within_a_cell(self):
         corpus = generate_corpus(
             GenRecipe(inserts=(6,), subdivisions=(0,), replicates=3, base_seed=5)
         )
-        blobs = {serialize_graph_file(ct.graph, ct.rotation) for _, ct in corpus}
-        assert len(blobs) > 1
+        assert len({blob for _, blob in corpus}) > 1
 
 
 class TestThresholdVerdict:
     def _res(self, value, lower, upper):
-        return ChromaticResult(value, lower, upper, None, 0, 0.0)
+        return ChromaticResult(value, lower, upper, None, 0)
 
     def test_exact_value(self):
         assert _threshold_verdict(self._res(3, 3, 3), 3, "gamma")[0] == "pass"
@@ -242,9 +260,8 @@ class TestEvaluateInstance:
         # Refuting a 4-edge-coloring used up the whole node budget here and
         # left chi in [4, 5]; with one degree-2 vertex the lemma settles it.
         recipe = GenRecipe(inserts=(9,), subdivisions=(1,), replicates=1)
-        [(iid, ct)] = generate_corpus(recipe)
+        [(iid, blob)] = generate_corpus(recipe)
         assert iid == "gen-i9-s1-r0"
-        blob = serialize_graph_file(ct.graph, ct.rotation)
         rec = evaluate_instance(iid, blob, HYPOTHESES, 5000, 64, 64)
         assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
         assert "parity lemma" in rec.hypotheses["H11"]["detail"]
@@ -255,9 +272,8 @@ class TestEvaluateInstance:
         # budget and left chi in [4, 5]; the parity lemma is silent at
         # |V2| = 3, and a verified Kempe-chain witness settles chi = 4.
         recipe = GenRecipe(inserts=(9,), subdivisions=(3,), replicates=24, base_seed=1)
-        iid, ct = generate_corpus(recipe)[-1]
+        iid, blob = generate_corpus(recipe)[-1]
         assert iid == "gen-i9-s3-r23"
-        blob = serialize_graph_file(ct.graph, ct.rotation)
         rec = evaluate_instance(iid, blob, ("H11",), 5000, 64, 64)
         assert rec.chi == {"value": 4, "lower": 4, "upper": 4}
         assert rec.nodes["chi"] == 0
@@ -267,7 +283,8 @@ class TestEvaluateInstance:
         }
         colors = {int(eid): c for eid, c in rec.witnesses["h11_edge_coloring"].items()}
         assert set(colors.values()) == set(range(4))
-        assert verify_edge_coloring(ct.graph, EdgeColoring(colors, 4)) == []
+        graph, _ = parse_graph_file(blob)
+        assert verify_edge_coloring(graph, EdgeColoring(colors, 4)) == []
 
     def test_invalid_instance_skips_everything(self):
         k4 = UndirectedGraph(4, list(itertools.combinations(range(4), 2)))
@@ -474,15 +491,15 @@ class TestBuildOnce:
             "parse_graph_file": n,
             "line_graph_of": n,
             "greedy_coloring": 2 * n,
-            # one after subdividing, one after parsing
-            "validate_conjugated": 2 * n,
+            # generation does not validate; evaluation validates once
+            "validate_conjugated": n,
         }
 
     def test_file_scan(self, build_counts, tmp_path):
         paths = []
-        for iid, ct in generate_corpus(SMALL_RECIPE):
+        for iid, blob in generate_corpus(SMALL_RECIPE):
             path = tmp_path / f"{iid}.conj"
-            path.write_bytes(serialize_graph_file(ct.graph, ct.rotation))
+            path.write_bytes(blob)
             paths.append(str(path))
         bad = tmp_path / "two-triangles.conj"
         triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
