@@ -104,32 +104,22 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
     if not rotations:
         return graph, None
 
-    orders = []
-    for v in range(1, v_count + 1):
-        row = rotations.get(v)
-        if row is None:
-            if graph.degrees[v - 1] == 0:
-                row = ()
-            else:
-                raise GraphFormatError(
-                    0, f"rotation lines present but vertex {v} has none"
-                )
-        orders.append(row)
-    rotation = RotationSystem(orders)
+    # An unlisted vertex must be isolated: no edge may touch it.  Deciding
+    # that from the edge endpoints keeps a header's worth of isolated
+    # vertices down to one empty row each.
+    unlisted = {x + 1 for edge in edges for x in edge}.difference(rotations)
+    if unlisted:
+        raise GraphFormatError(
+            0, f"rotation lines present but vertex {min(unlisted)} has none"
+        )
+    rotation = RotationSystem(rotations.get(v, ()) for v in range(1, v_count + 1))
     try:
         rotation.validate(graph)
     except RotationError as exc:
-        bad = next(
-            (
-                v
-                for v in range(1, v_count + 1)
-                if v in rotations
-                and sorted(rotations[v]) != sorted(graph.incident_edge_ids[v - 1])
-            ),
-            None,
-        )
-        lineno = rotation_lines.get(bad, 0) if bad is not None else 0
-        raise GraphFormatError(lineno, str(exc)) from None
+        # Unlisted rows are empty and their vertices isolated, so the row at
+        # fault is always one the file lists.
+        bad = rotation.mismatched_vertex(graph) + 1
+        raise GraphFormatError(rotation_lines[bad], str(exc)) from None
     return graph, rotation
 
 

@@ -215,12 +215,26 @@ class RotationSystem:
             raise RotationError(
                 f"rotation covers {len(self.orders)} vertices, graph has {g.vertex_count}"
             )
+        v = self.mismatched_vertex(g)
+        if v is not None:
+            raise RotationError(
+                f"rotation at vertex {v} is not a permutation of its incident edges"
+            )
+
+    def mismatched_vertex(self, g: UndirectedGraph) -> Optional[int]:
+        """The first vertex whose row is not a permutation of its incident
+        edge ids, or None.  Incidence comes from the edge list, so isolated
+        vertices cost nothing beyond their own (empty) rows."""
+        incident: dict[int, set[int]] = {}
+        for eid, (u, v) in enumerate(g.edges, start=1):
+            incident.setdefault(u, set()).add(eid)
+            incident.setdefault(v, set()).add(eid)
+        isolated: frozenset[int] = frozenset()
         for v, order in enumerate(self.orders):
-            expected = set(g.incident_edge_ids[v])
-            if len(order) != len(set(order)) or set(order) != expected:
-                raise RotationError(
-                    f"rotation at vertex {v} is not a permutation of its incident edges"
-                )
+            row = set(order)
+            if len(row) != len(order) or row != incident.get(v, isolated):
+                return v
+        return None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from . import __version__
@@ -83,6 +85,13 @@ class GenRecipe:
             raise ValueError("subdivisions must be a non-empty tuple of non-negatives")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
+        for name in ("inserts", "subdivisions"):
+            repeated = [x for x, n in Counter(getattr(self, name)).items() if n > 1]
+            if repeated:
+                raise ValueError(
+                    f"{name} repeat the value {repeated[0]}; two cells would "
+                    f"share instance ids"
+                )
         # The smallest cell is the triangle (3 edges, its own medial) when
         # 0 inserts are asked for, else a medial graph with 6 + 6i edges.
         fewest = 3 if 0 in self.inserts else 6 + 6 * min(self.inserts)
@@ -320,21 +329,42 @@ def evaluate_instance(
         graph, rotation = parse_graph_file(blob)
     except GraphFormatError as exc:
         raise ScanInputError(f"{instance_id}: {exc}") from None
-    outcome = validate_conjugated(graph, rotation)
-    if isinstance(outcome, ConjugatedTriangulation):
-        ct: Optional[ConjugatedTriangulation] = outcome
-        report: ValidationReport = outcome.validation
+    ct: Optional[ConjugatedTriangulation] = None
+    if graph.vertex_count > 2 * graph.edge_count:
+        # The degrees sum to 2E < V, so some vertex is isolated.  It fails
+        # "degrees" and is a component of its own beside any other vertex; a
+        # lone vertex is connected and traces one face.  So the verdicts
+        # follow from V, and a header that declares many vertices costs
+        # nothing per vertex.  Below the bound, validation is linear in E.
+        degree = Counter(chain.from_iterable(graph.edges))
+        histogram = Counter(degree.values())
+        histogram[0] = graph.vertex_count - len(degree)
+        several = graph.vertex_count > 1
+        planarity = "skipped" if rotation is None else ("fail" if several else "pass")
+        failures = ["degrees"]
+        if several:
+            failures.append("connected")
+        if planarity == "fail":
+            failures.append("planarity")
     else:
-        ct, report = None, outcome
+        outcome = validate_conjugated(graph, rotation)
+        if isinstance(outcome, ConjugatedTriangulation):
+            ct = outcome
+            report: ValidationReport = outcome.validation
+        else:
+            report = outcome
+        histogram = degree_profile(graph).histogram
+        planarity = report.check("planarity").status
+        failures = [c.name for c in report.checks if c.status == "fail"]
 
     rec = InstanceRecord(
         id=instance_id,
         vertices=graph.vertex_count,
         edges=graph.edge_count,
-        degree_histogram=dict(degree_profile(graph).histogram),
-        planarity=report.check("planarity").status,
+        degree_histogram=dict(histogram),
+        planarity=planarity,
         valid=ct is not None,
-        validation_failures=[c.name for c in report.checks if c.status == "fail"],
+        validation_failures=failures,
         gamma=_null_chromatic(),
         chi=_null_chromatic(),
         bounds={"brooks": 0, "shannon_edge": 0, "greedy_vertex": 0, "greedy_edge": 0},
@@ -501,14 +531,15 @@ def run_hypothesis_scan(config: ScanConfig) -> ScanReport:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             records = list(pool.map(_worker, tasks, chunksize=4))
 
-    blob_by_id = dict(corpus)
-    for rec in records:
-        if rec.failed_hypotheses:
-            directory = config.counterexample_dir
-            if directory is None:
-                base = os.path.dirname(config.output) if config.output else "."
-                directory = os.path.join(base, "counterexamples")
-            os.makedirs(directory, exist_ok=True)
+    failing = [rec for rec in records if rec.failed_hypotheses]
+    if failing:
+        directory = config.counterexample_dir
+        if directory is None:
+            base = os.path.dirname(config.output) if config.output else "."
+            directory = os.path.join(base, "counterexamples")
+        os.makedirs(directory, exist_ok=True)
+        blob_by_id = dict(corpus)
+        for rec in failing:
             path = os.path.join(directory, f"{rec.id}.conj")
             with open(path, "wb") as fh:
                 fh.write(blob_by_id[rec.id])

@@ -293,6 +293,25 @@ class TestScanAndGen:
         assert "4 subdivisions exceed the 3 edges" in capsys.readouterr().err
         assert not dest.exists()
 
+    @pytest.mark.parametrize("command", ["gen", "scan"])
+    def test_repeated_recipe_values_are_usage_error(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # The flags give ranges, so only a recipe built otherwise repeats a
+        # value; the command must still refuse it before writing anything.
+        monkeypatch.setattr(
+            cli,
+            "_recipe_from_args",
+            lambda args: scan_module.GenRecipe(inserts=(1, 1), subdivisions=(0,)),
+        )
+        dest = tmp_path / "out"
+        argv = [command, "--output", str(dest)]
+        if command == "scan":
+            argv.append("--gen")
+        assert cli.main(argv) == 1
+        assert "inserts repeat the value 1" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_scan_gen_writes_valid_report(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = cli.main(

@@ -55,6 +55,13 @@ class TestParsing:
         g, rot = _parse(text)
         assert rot.orders == ((1,), (1,), ())
 
+    def test_isolated_vertices_cost_one_empty_row_each(self):
+        g, rot = _parse("p conj 100000 1\ne 2 3\nr 2 1\nr 3 1\n")
+        assert len(rot.orders) == 100_000
+        assert rot.orders[:4] == ((), (1,), (1,), ())
+        # Neither the adjacency nor the incidence of all V vertices was built.
+        assert not {"adjacency", "incident_edge_ids"} & g.__dict__.keys()
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -114,6 +121,12 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError) as info:
             _parse(text)
         assert info.value.line == 6  # the row for vertex 2
+
+    def test_row_of_an_isolated_vertex_must_be_empty(self):
+        with pytest.raises(GraphFormatError) as info:
+            _parse("p conj 4 1\ne 1 2\nr 1 1\nr 2 1\nr 4 1\n")
+        assert info.value.line == 5
+        assert "rotation at vertex 3 is not a permutation" in str(info.value)
 
 
 class TestRoundTrip:

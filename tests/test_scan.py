@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conjtri.coloring import (
     ChromaticResult,
@@ -16,7 +19,7 @@ from conjtri.coloring import (
 )
 from conjtri.construct import ConjugatedTriangulation, validate_conjugated
 from conjtri.graphio import parse_graph_file, serialize_graph_file
-from conjtri.graphs import UndirectedGraph
+from conjtri.graphs import RotationSystem, UndirectedGraph, degree_profile
 from conjtri import scan as scan_module
 from conjtri.scan import (
     GenRecipe,
@@ -86,6 +89,19 @@ class TestGenRecipe:
         GenRecipe(inserts=(0, 5), subdivisions=(3,))
         with pytest.raises(ValueError, match=r"\b4\b.*\b3 edges"):
             GenRecipe(inserts=(0, 5), subdivisions=(0, 4))
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"inserts": (1, 2, 1)}, "inserts repeat the value 1;"),
+            ({"subdivisions": (0, 3, 3)}, "subdivisions repeat the value 3;"),
+        ],
+    )
+    def test_rejects_repeated_values(self, kwargs, message):
+        # Repeated values would name two cells, and their counterexample
+        # files, alike.
+        with pytest.raises(ValueError, match=message):
+            GenRecipe(**kwargs)
 
     def test_bounds_track_the_largest_cell(self):
         r = GenRecipe(inserts=(0, 4), subdivisions=(0, 3), replicates=1)
@@ -330,6 +346,74 @@ class TestEvaluateInstance:
         assert set(rec.hypotheses) == {"H11"}
 
 
+@st.composite
+def graphs_with_an_isolated_vertex(draw) -> bytes:
+    """The file of a graph on 1..7 vertices of which at least one is
+    isolated, with or without rotation lines; a file with rotation lines
+    lists or leaves out the empty rows."""
+    n = draw(st.integers(1, 7))
+    lone = draw(st.integers(0, n - 1))
+    pairs = list(itertools.combinations([v for v in range(n) if v != lone], 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = UndirectedGraph(n, edges)
+    if not draw(st.booleans()):
+        return serialize_graph_file(g)
+    rot = RotationSystem([draw(st.permutations(ids)) for ids in g.incident_edge_ids])
+    lines = serialize_graph_file(g, rot).splitlines(keepends=True)
+    if draw(st.booleans()):
+        lines = [x for x in lines if not (x.startswith(b"r ") and len(x.split()) == 2)]
+    return b"".join(lines)
+
+
+C4_AND_LONE_VERTEX = b"p conj 5 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
+TRIANGLE_AND_FOUR_LONE_VERTICES = b"p conj 7 3\ne 1 2\ne 2 3\ne 1 3\n"
+
+
+class TestIsolatedVertices:
+    """A graph with more vertices than edge endpoints (V > 2E) is decided
+    from its edge list.  Whichever path it takes, a graph with an isolated
+    vertex must get the record that full validation gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_an_isolated_vertex())
+    @example(b"p conj 1 0\n")
+    @example(b"p conj 1 0\nr 1\n")
+    @example(b"p conj 2 0\nr 2\n")
+    @example(C4_AND_LONE_VERTEX)
+    @example(C4_AND_LONE_VERTEX + b"r 1 1 4\nr 2 1 2\nr 3 2 3\nr 4 3 4\n")
+    @example(TRIANGLE_AND_FOUR_LONE_VERTICES)
+    @example(TRIANGLE_AND_FOUR_LONE_VERTICES + b"r 1 1 3\nr 2 1 2\nr 3 2 3\n")
+    @example(b"p conj 5 2\ne 1 2\ne 2 3\nr 1 1\nr 2 1 2\nr 3 2\nr 4\n")
+    def test_record_matches_full_validation(self, blob):
+        graph, rot = parse_graph_file(blob)
+        assert 0 in degree_profile(graph).histogram
+        report = validate_conjugated(graph, rot)
+        rec = evaluate_instance("g", blob, HYPOTHESES, 2000, 60, 60)
+        assert rec.degree_histogram == degree_profile(graph).histogram
+        assert not rec.valid and not isinstance(report, ConjugatedTriangulation)
+        assert rec.validation_failures == [
+            c.name for c in report.checks if c.status == "fail"
+        ]
+        assert rec.planarity == report.check("planarity").status
+        assert rec.error is None
+        assert all(v["verdict"] == "skipped" for v in rec.hypotheses.values())
+
+    @pytest.mark.parametrize(
+        "blob,limit_mb",
+        [(b"p conj 1000000 0\n", 1), (b"p conj 1000000 0\nr 1\n", 32)],
+    )
+    def test_memory_is_bounded_by_the_file(self, blob, limit_mb):
+        tracemalloc.start()
+        try:
+            rec = evaluate_instance("hostile", blob, HYPOTHESES, 2000, 60, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 10**6, f"peak {peak / 10**6:.1f} MB"
+        assert rec.degree_histogram == {0: 1_000_000}
+        assert rec.validation_failures[:2] == ["degrees", "connected"]
+
+
 @pytest.fixture(scope="module")
 def small_scan(tmp_path_factory):
     out = tmp_path_factory.mktemp("scan")
@@ -423,6 +507,22 @@ class TestRunScan:
         by_id = {r.id: r for r in report.instances}
         assert by_id["octa.conj"].gamma["value"] == 3
         assert by_id["c4.conj"].hypotheses["H12"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_no_counterexample_directory_without_a_failure(self, tmp_path, explicit):
+        c4 = tmp_path / "c4.conj"
+        c4.write_bytes(_blob(UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+        cex = str(tmp_path / "cex") if explicit else None
+        report = run_hypothesis_scan(
+            ScanConfig(
+                source_files=(str(c4),),
+                timeout_ms=2000,
+                output=str(tmp_path / "report.json"),
+                counterexample_dir=cex,
+            )
+        )
+        assert not report.summary()["counterexamples"]
+        assert sorted(os.listdir(tmp_path)) == ["c4.conj"]
 
     def test_missing_file_raises_scan_input_error(self, tmp_path):
         config = ScanConfig(
