@@ -17,6 +17,8 @@ import sys
 import time
 
 from conjtri import _core_py
+from conjtri.construct import line_graph_of
+from conjtri.graphs import UndirectedGraph
 
 try:
     from conjtri import _core
@@ -24,24 +26,9 @@ except ImportError:
     _core = None
 
 
-def neighbor_masks(n, edges):
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def line_graph_of_complete(n):
     """Edge-adjacency graph of K_n, the classic hard refutation case."""
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    edges = [
-        (index[a], index[b])
-        for a, b in itertools.combinations(pairs, 2)
-        if set(a) & set(b)
-    ]
-    return len(pairs), edges
+    return line_graph_of(UndirectedGraph(n, itertools.combinations(range(n), 2)))
 
 
 def mycielski(levels):
@@ -56,7 +43,7 @@ def mycielski(levels):
         for i in range(m):
             new_edges.append((m + i, 2 * m))
         n, edges = 2 * m + 1, new_edges
-    return n, edges
+    return UndirectedGraph(n, edges)
 
 
 def queen_graph(k):
@@ -69,26 +56,25 @@ def queen_graph(k):
             rb, cb = divmod(b, k)
             if ra == rb or ca == cb or abs(ra - rb) == abs(ca - cb):
                 edges.add((a, b))
-    return n, sorted(edges)
+    return UndirectedGraph(n, sorted(edges))
 
 
 CASES = [
-    ("L(K7) with 6 colors (unsat)", *line_graph_of_complete(7), 6),
-    ("L(K8) with 7 colors (unsat)", *line_graph_of_complete(8), 7),
-    ("Mycielski-4 with 4 colors (unsat)", *mycielski(3), 4),
-    ("Mycielski-5 with 5 colors (unsat)", *mycielski(4), 5),
-    ("queen 6x6 with 6 colors (unsat)", *queen_graph(6), 6),
-    ("queen 6x6 with 7 colors (sat)", *queen_graph(6), 7),
+    ("L(K7) with 6 colors (unsat)", line_graph_of_complete(7), 6),
+    ("L(K8) with 7 colors (unsat)", line_graph_of_complete(8), 7),
+    ("Mycielski-4 with 4 colors (unsat)", mycielski(3), 4),
+    ("Mycielski-5 with 5 colors (unsat)", mycielski(4), 5),
+    ("queen 6x6 with 6 colors (unsat)", queen_graph(6), 6),
+    ("queen 6x6 with 7 colors (sat)", queen_graph(6), 7),
 ]
 
 
-def run(backend, n, edges, k, repeats=3):
-    masks = neighbor_masks(n, edges)
-    pinned = [-1] * n
+def run(backend, g, k, repeats=3):
+    pinned = [-1] * g.vertex_count
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        status, _, nodes = backend.decide_coloring(n, masks, k, pinned, 0)
+        status, _, nodes = backend.decide_coloring(g.vertex_count, g.masks, k, pinned, 0)
         best = min(best, time.perf_counter() - t0)
     return status, nodes, best
 
@@ -105,9 +91,9 @@ def main():
     print(header)
     print("-" * len(header))
     total_pure = total_fast = 0.0
-    for name, n, edges, k in CASES:
-        s1, nodes1, t_pure = run(_core_py, n, edges, k)
-        s2, nodes2, t_fast = run(_core, n, edges, k)
+    for name, g, k in CASES:
+        s1, nodes1, t_pure = run(_core_py, g, k)
+        s2, nodes2, t_fast = run(_core, g, k)
         assert (s1, nodes1) == (s2, nodes2), "backends disagreed"
         total_pure += t_pure
         total_fast += t_fast

@@ -13,12 +13,11 @@ indeterminate result carrying the best proven bounds.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
 from . import core
-from .graphs import SizeLimitError, UndirectedGraph, connected_components
+from .graphs import SizeLimitError, UndirectedGraph, connected_components, mask_bits
 from .construct import line_graph_of
 
 DEFAULT_VERTEX_CAP = 60
@@ -80,60 +79,72 @@ class ChromaticResult:
         return self.value is not None
 
 
-def _neighbor_masks(g: UndirectedGraph) -> list[int]:
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def greedy_clique(g: UndirectedGraph) -> tuple[int, ...]:
     """Single-pass greedy clique over vertices sorted by degree (desc), id (asc)."""
-    order = sorted(range(g.vertex_count), key=lambda v: (-g.degrees[v], v))
-    clique: list[int] = []
+    masks = g.masks
+    # A stable sort keeps ids ascending among equal degrees.
+    order = sorted(range(g.vertex_count), key=g.degrees.__getitem__, reverse=True)
+    clique = 0
     for v in order:
-        if all(v in g.adjacency[u] for u in clique):
-            clique.append(v)
-    return tuple(sorted(clique))
+        if clique & masks[v] == clique:
+            clique |= 1 << v
+    return tuple(mask_bits(clique))
 
 
 def smallest_last_order(g: UndirectedGraph) -> list[int]:
     """Repeatedly remove the vertex of least remaining degree, smallest id
-    first, and return the removal order reversed.  A lazy heap keyed by
-    (degree, id) finds each minimum.  Degrees only fall, so a vertex's
-    current entry pops before its stale ones, which are then skipped."""
+    first, and return the removal order reversed.  Each remaining degree
+    keeps a bucket bitmask, whose lowest set bit is its smallest id (Matula
+    and Beck, 1983).  After a removal at degree d the minimum is >= d - 1."""
+    masks = g.masks
     deg = list(g.degrees)
-    removed = [False] * g.vertex_count
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
+    bucket = [0] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        bucket[d] |= 1 << v
+    left = (1 << g.vertex_count) - 1
     order = []
-    while heap:
-        _, v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        removed[v] = True
+    d = 0
+    while left:
+        while not bucket[d]:
+            d += 1
+        low = bucket[d] & -bucket[d]
+        bucket[d] ^= low
+        left ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        for w in g.adjacency[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+        nbrs = masks[v] & left
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            w = bit.bit_length() - 1
+            dw = deg[w]
+            bucket[dw] ^= bit
+            bucket[dw - 1] |= bit
+            deg[w] = dw - 1
+        if d:
+            d -= 1
     order.reverse()
     return order
 
 
 def greedy_coloring(g: UndirectedGraph) -> VertexColoring:
-    """First-fit along the smallest-last order; deterministic."""
+    """First-fit along the smallest-last order; deterministic.  Each color
+    class is a bitmask, and a vertex takes the first class that holds none
+    of its neighbors."""
+    masks = g.masks
     colors = [-1] * g.vertex_count
-    top = -1
+    classes: list[int] = []
     for v in smallest_last_order(g):
-        used = {colors[w] for w in g.adjacency[v] if colors[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
+        nbrs = masks[v]
+        for c, members in enumerate(classes):
+            if not members & nbrs:
+                classes[c] = members | (1 << v)
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
         colors[v] = c
-        top = max(top, c)
-    return VertexColoring(tuple(colors), top + 1)
+    return VertexColoring(tuple(colors), len(classes))
 
 
 def coloring_bounds(
@@ -159,7 +170,7 @@ def coloring_bounds(
 def _decide(
     g: UndirectedGraph, k: int, pinned: list[int], node_budget: int
 ) -> tuple[int, Optional[list[int]], int]:
-    return core.decide_coloring(g.vertex_count, _neighbor_masks(g), k, pinned, node_budget)
+    return core.decide_coloring(g.vertex_count, g.masks, k, pinned, node_budget)
 
 
 def decide_k_coloring(
@@ -426,7 +437,7 @@ def exhaustive_chromatic_number(g: UndirectedGraph, max_vertices: int = 8) -> in
         return 0
     if g.edge_count == 0:
         return 1
-    adj = g.adjacency
+    earlier = [mask_bits(m & ((1 << v) - 1)) for v, m in enumerate(g.masks)]
 
     def any_proper(k: int) -> bool:
         colors = [-1] * n
@@ -435,7 +446,7 @@ def exhaustive_chromatic_number(g: UndirectedGraph, max_vertices: int = 8) -> in
             if v == n:
                 return True
             for c in range(k):
-                if all(colors[w] != c for w in adj[v] if w < v):
+                if all(colors[w] != c for w in earlier[v]):
                     colors[v] = c
                     if step(v + 1):
                         return True

@@ -128,7 +128,7 @@ def validate_conjugated(
         checks.append(CheckResult("connected", "pass"))
     else:
         checks.append(
-            CheckResult("connected", "fail", tuple(tuple(c) for c in comps))
+            CheckResult("connected", "fail", comps)
         )
 
     if rot is None:
@@ -160,16 +160,16 @@ def require_conjugated(
 
 def line_graph_of(g: UndirectedGraph) -> UndirectedGraph:
     """Edge-adjacency graph: one vertex per edge of ``g``, adjacent iff the
-    edges share an endpoint.  Vertex ``i`` stands for edge id ``i + 1``."""
-    m = g.edge_count
-    g_edges = []
-    for v in range(g.vertex_count):
-        inc = g.incident_edge_ids[v]
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                g_edges.append((inc[i] - 1, inc[j] - 1))
-    # Two simple edges share at most one endpoint, so no duplicates arise.
-    return UndirectedGraph(m, sorted(set(g_edges)))
+    edges share an endpoint.  Vertex ``i`` stands for edge id ``i + 1``.
+    ``inc[v]`` has bit ``i`` set for each edge ``i`` at ``v``, so the
+    neighbors of edge ``i = uv`` are ``inc[u] | inc[v]`` less ``i`` itself."""
+    inc = [0] * g.vertex_count
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return UndirectedGraph.from_masks(
+        [(inc[u] | inc[v]) ^ (1 << i) for i, (u, v) in enumerate(g.edges)]
+    )
 
 
 def euler_circuit(

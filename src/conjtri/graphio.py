@@ -112,13 +112,16 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
         raise GraphFormatError(
             0, f"rotation lines present but vertex {min(unlisted)} has none"
         )
-    rotation = RotationSystem(rotations.get(v, ()) for v in range(1, v_count + 1))
+    # Unlisted rows are empty and their vertices isolated, so only the rows
+    # the file lists need checking against incidence.
+    rotation = RotationSystem.from_rows(
+        v_count, {v - 1: row for v, row in rotations.items()}
+    )
+    listed = sorted(v - 1 for v in rotations)
     try:
-        rotation.validate(graph)
+        rotation.validate(graph, listed)
     except RotationError as exc:
-        # Unlisted rows are empty and their vertices isolated, so the row at
-        # fault is always one the file lists.
-        bad = rotation.mismatched_vertex(graph) + 1
+        bad = rotation.mismatched_vertex(graph, listed) + 1
         raise GraphFormatError(rotation_lines[bad], str(exc)) from None
     return graph, rotation
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class SizeLimitError(ValueError):
@@ -19,6 +19,17 @@ class SizeLimitError(ValueError):
 
 class RotationError(ValueError):
     """A rotation system does not match the incidence structure of its graph."""
+
+
+def mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending; the loop runs once
+    per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -50,17 +61,41 @@ class UndirectedGraph:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(normalized))
 
+    @classmethod
+    def from_masks(cls, masks: Sequence[int]) -> "UndirectedGraph":
+        """The graph whose vertex ``v`` has neighbor bitmask ``masks[v]``,
+        edges in sorted order, with its masks and degrees cached.  The masks
+        must be symmetric with a clear diagonal; callers derive them from a
+        graph, so they are trusted."""
+        edges = []
+        for u, m in enumerate(masks):
+            m >>= u + 1
+            while m:
+                low = m & -m
+                edges.append((u, u + low.bit_length()))
+                m ^= low
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", len(masks))
+        object.__setattr__(g, "edges", tuple(edges))
+        g.__dict__["masks"] = tuple(masks)
+        g.__dict__["degrees"] = tuple(m.bit_count() for m in masks)
+        return g
+
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj = [set() for _ in range(self.vertex_count)]
+    def masks(self) -> tuple[int, ...]:
+        """Neighbor bitmasks: bit ``w`` of ``masks[v]`` is set iff ``vw`` is
+        an edge.  The coloring steps read the graph through these.  Parsing
+        and validation never build them, because the masks of a sparse
+        graph on V vertices can total about V**2 / 2 bits."""
+        masks = [0] * self.vertex_count
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def incident_edge_ids(self) -> tuple[tuple[int, ...], ...]:
@@ -72,8 +107,33 @@ class UndirectedGraph:
         return tuple(tuple(lst) for lst in inc)
 
     @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """See ``connected_components``.  The search walks the incident
+        edges, so it is linear in V + E."""
+        edges, incident = self.edges, self.incident_edge_ids
+        seen = [False] * self.vertex_count
+        blocks = []
+        for start in range(self.vertex_count):
+            if seen[start]:
+                continue
+            seen[start] = True
+            stack = [start]
+            block = []
+            while stack:
+                u = stack.pop()
+                block.append(u)
+                for eid in incident[u]:
+                    a, b = edges[eid - 1]
+                    w = a + b - u
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            blocks.append(tuple(sorted(block)))
+        return tuple(blocks)
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adjacency)
+        return tuple(map(len, self.incident_edge_ids))
 
     def edge_by_id(self, eid: int) -> tuple[int, int]:
         if not 1 <= eid <= len(self.edges):
@@ -89,7 +149,7 @@ class UndirectedGraph:
         raise ValueError(f"vertex {v} not an endpoint of edge {eid}")
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return bool(self.masks[u] >> v & 1)
 
 
 @dataclass(frozen=True)
@@ -210,27 +270,49 @@ class RotationSystem:
             self, "orders", tuple(tuple(int(e) for e in o) for o in orders)
         )
 
-    def validate(self, g: UndirectedGraph) -> None:
+    @classmethod
+    def from_rows(
+        cls, vertex_count: int, rows: dict[int, tuple[int, ...]]
+    ) -> "RotationSystem":
+        """Row ``rows[v]``, a tuple of ints, at each listed vertex and an
+        empty row at every other one, filled without a loop per vertex."""
+        orders: list[tuple[int, ...]] = [()] * vertex_count
+        for v, row in rows.items():
+            orders[v] = row
+        rot = object.__new__(cls)
+        object.__setattr__(rot, "orders", tuple(orders))
+        return rot
+
+    def validate(
+        self, g: UndirectedGraph, vertices: Optional[Iterable[int]] = None
+    ) -> None:
+        """Raise RotationError unless the rotation covers every vertex of
+        ``g`` and each row of ``vertices`` (default: all, ascending) is a
+        permutation of its incident edge ids."""
         if len(self.orders) != g.vertex_count:
             raise RotationError(
                 f"rotation covers {len(self.orders)} vertices, graph has {g.vertex_count}"
             )
-        v = self.mismatched_vertex(g)
+        v = self.mismatched_vertex(g, vertices)
         if v is not None:
             raise RotationError(
                 f"rotation at vertex {v} is not a permutation of its incident edges"
             )
 
-    def mismatched_vertex(self, g: UndirectedGraph) -> Optional[int]:
-        """The first vertex whose row is not a permutation of its incident
-        edge ids, or None.  Incidence comes from the edge list, so isolated
-        vertices cost nothing beyond their own (empty) rows."""
+    def mismatched_vertex(
+        self, g: UndirectedGraph, vertices: Optional[Iterable[int]] = None
+    ) -> Optional[int]:
+        """The first vertex of ``vertices`` (default: all, ascending) whose
+        row is not a permutation of its incident edge ids, or None.
+        Incidence comes from the edge list, so isolated vertices cost
+        nothing beyond their own (empty) rows."""
         incident: dict[int, set[int]] = {}
         for eid, (u, v) in enumerate(g.edges, start=1):
             incident.setdefault(u, set()).add(eid)
             incident.setdefault(v, set()).add(eid)
         isolated: frozenset[int] = frozenset()
-        for v, order in enumerate(self.orders):
+        for v in range(len(self.orders)) if vertices is None else vertices:
+            order = self.orders[v]
             row = set(order)
             if len(row) != len(order) or row != incident.get(v, isolated):
                 return v
@@ -258,25 +340,10 @@ def degree_profile(g: UndirectedGraph) -> DegreeProfile:
     )
 
 
-def connected_components(g: UndirectedGraph) -> list[list[int]]:
-    """Vertex partition into connectivity classes, ordered by smallest member."""
-    seen = [False] * g.vertex_count
-    blocks = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        block = []
-        while stack:
-            u = stack.pop()
-            block.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        blocks.append(sorted(block))
-    return blocks
+def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex partition into connectivity classes, each ascending, ordered
+    by smallest member; computed once per graph."""
+    return g.components
 
 
 def is_connected(g: UndirectedGraph) -> bool:
@@ -285,12 +352,11 @@ def is_connected(g: UndirectedGraph) -> bool:
 
 def find_triangles(g: UndirectedGraph) -> list[tuple[int, int, int]]:
     """All 3-cliques as sorted triples, in lexicographic order."""
-    adj = g.adjacency
+    masks = g.masks
     out = []
     for u, v in g.edges:
-        for w in adj[u]:
-            if w > v and w in adj[v]:
-                out.append((u, v, w))
+        for w in mask_bits((masks[u] & masks[v]) >> (v + 1)):
+            out.append((u, v, v + 1 + w))
     return sorted(out)
 
 
@@ -369,7 +435,7 @@ def are_isomorphic(
                         ok = False
                         break
                 else:
-                    if (x in g1.adjacency[v]) != (mx in g2.adjacency[w]):
+                    if (g1.masks[v] >> x & 1) != (g2.masks[w] >> mx & 1):
                         ok = False
                         break
             if not ok:

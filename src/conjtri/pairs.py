@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .coloring import VertexColoring, verify_vertex_coloring
 from .construct import OrientedConjugated
-from .graphs import UndirectedGraph
+from .graphs import UndirectedGraph, mask_bits
 
 _STAR_DEGREES = (1, 2, 4)
 
@@ -213,19 +213,20 @@ def sibling_constraint_graph(oh: OrientedConjugated) -> "UndirectedGraph":
     color, impossible under any proper base coloring.  So the induced
     coloring is proper exactly when the base coloring also separates every
     same-tail head pair and same-head tail pair — i.e. when it properly
-    colors this augmented graph.
+    colors this augmented graph.  Each same-tail head group and same-head
+    tail group, as a bitmask, is ORed into the neighbor masks of its members.
     """
     g = oh.base.graph
-    edges = set(g.edges)
-    out_heads: dict[int, list[int]] = {}
-    in_tails: dict[int, list[int]] = {}
+    masks = list(g.masks)
+    out_heads = [0] * g.vertex_count
+    in_tails = [0] * g.vertex_count
     for tail, head in oh.arc_of_edge.values():
-        out_heads.setdefault(tail, []).append(head)
-        in_tails.setdefault(head, []).append(tail)
-    for group in itertools.chain(out_heads.values(), in_tails.values()):
-        for a, b in itertools.combinations(sorted(group), 2):
-            edges.add((a, b))
-    return UndirectedGraph(g.vertex_count, sorted(edges))
+        out_heads[tail] |= 1 << head
+        in_tails[head] |= 1 << tail
+    for group in itertools.chain(out_heads, in_tails):
+        for v in mask_bits(group):
+            masks[v] |= group ^ (1 << v)
+    return UndirectedGraph.from_masks(masks)
 
 
 def count_neighbor_pair_colorings(center_config: StarConfig) -> NeighborCensus:

@@ -234,3 +234,29 @@ def trace_faces_quadratic(edges, orders):
                 break
         faces.append(tuple(walk))
     return faces
+
+
+def line_graph_pairs(n, edges):
+    """Line graph as (vertex count, sorted edge list), by enumerating the
+    pairs of edges at each vertex; vertex i stands for edges[i]."""
+    incident = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    pairs = [p for ids in incident for p in itertools.combinations(ids, 2)]
+    # Two simple edges share at most one endpoint, so no duplicates arise.
+    return len(edges), sorted(set(pairs))
+
+
+def sibling_constraint_edges(n, edges, arcs):
+    """The edges of the graph plus every pair of heads of arcs out of one
+    vertex and every pair of tails of arcs into one vertex, as a sorted
+    edge set; ``arcs`` are (tail, head) pairs."""
+    out = {tuple(sorted(e)) for e in edges}
+    out_heads, in_tails = {}, {}
+    for tail, head in arcs:
+        out_heads.setdefault(tail, []).append(head)
+        in_tails.setdefault(head, []).append(tail)
+    for group in itertools.chain(out_heads.values(), in_tails.values()):
+        out.update(itertools.combinations(sorted(group), 2))
+    return n, sorted(out)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,38 @@ class TestValidation:
         result = validate_conjugated(named_graphs["c4"], rot)
         assert isinstance(result, ConjugatedTriangulation)
         assert result.validation.check("planarity").status == "pass"
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(1, 3), (1, 2), (2, 9)], "rotation at vertex 2 is not a permutation"),
+            ([(1, 3), (1, 2)], "rotation covers 2 vertices, graph has 3"),
+        ],
+    )
+    def test_bad_rotation_fails_planarity(self, named_graphs, rows, message):
+        # A rotation handed straight to the validator, not through the parser.
+        result = validate_conjugated(named_graphs["triangle"], RotationSystem(rows))
+        assert isinstance(result, ValidationReport)
+        planarity = result.check("planarity")
+        assert planarity.status == "fail"
+        assert len(planarity.details) == 1 and planarity.details[0].startswith(message)
+
+    @pytest.mark.parametrize("shape", ["edgeless", "cycle"])
+    def test_validation_is_linear_and_builds_no_masks(self, shape):
+        n = 100_000
+        edges = [] if shape == "edgeless" else [(i, (i + 1) % n) for i in range(n)]
+        g = UndirectedGraph(n, edges)
+        t0 = time.perf_counter()
+        result = validate_conjugated(g)
+        elapsed = time.perf_counter() - t0
+        # Linear validation of this graph takes well under a second; a component
+        # search quadratic in V, such as one over V-bit masks, takes minutes.
+        assert elapsed < 10, f"{elapsed:.1f} s"
+        if shape == "edgeless":
+            assert len(result.check("connected").details) == n
+        else:
+            assert isinstance(result, ConjugatedTriangulation)
+        assert "masks" not in g.__dict__
 
     def test_require_raises_with_failed_checks(self, named_graphs):
         with pytest.raises(NotConjugatedError) as exc:

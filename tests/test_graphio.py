@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conjtri.graphio import GraphFormatError, parse_graph_file, serialize_graph_file
@@ -59,8 +61,28 @@ class TestParsing:
         g, rot = _parse("p conj 100000 1\ne 2 3\nr 2 1\nr 3 1\n")
         assert len(rot.orders) == 100_000
         assert rot.orders[:4] == ((), (1,), (1,), ())
-        # Neither the adjacency nor the incidence of all V vertices was built.
-        assert not {"adjacency", "incident_edge_ids"} & g.__dict__.keys()
+        # Neither the neighbor masks nor the incidence of all V vertices
+        # was built.
+        assert not {"masks", "incident_edge_ids"} & g.__dict__.keys()
+
+    def test_unlisted_rows_cost_no_python_work_each(self):
+        # Unlisted rows are filled in bulk and not checked one by one: their
+        # vertices are isolated because every edge endpoint has a row.
+        t0 = time.perf_counter()
+        g, rot = _parse("p conj 3000000 0\nr 1\n")
+        elapsed = time.perf_counter() - t0
+        assert len(rot.orders) == 3_000_000 and not any(rot.orders)
+        # A loop per declared vertex takes seconds at this size.
+        assert elapsed < 1.5, f"{elapsed:.2f} s"
+
+    def test_listed_rows_are_checked_after_many_unlisted_ones(self):
+        text = "p conj 100000 2\ne 99998 99999\ne 99999 100000\n"
+        g, rot = _parse(text + "r 99998 1\nr 99999 1 2\nr 100000 2\n")
+        assert rot.orders[-3:] == ((1,), (1, 2), (2,))
+        with pytest.raises(GraphFormatError) as info:
+            _parse(text + "r 99998 1\nr 99999 1 1\nr 100000 2\n")
+        assert info.value.line == 5
+        assert "rotation at vertex 99998 is not a permutation" in str(info.value)
 
 
 class TestParseErrors:

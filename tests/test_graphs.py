@@ -17,6 +17,7 @@ from conjtri.graphs import (
     faces_and_genus_check,
     find_triangles,
     is_connected,
+    mask_bits,
     rotation_from_oriented_faces,
 )
 
@@ -49,7 +50,7 @@ class TestUndirectedGraph:
     def test_adjacency_and_degrees(self):
         g = UndirectedGraph(4, [(0, 1), (1, 2), (1, 3)])
         assert g.degrees == (1, 3, 1, 1)
-        assert g.adjacency[1] == frozenset({0, 2, 3})
+        assert g.masks[1] == 0b1101
         assert g.incident_edge_ids[1] == (1, 2, 3)
         assert g.other_endpoint(2, 1) == 2
 
@@ -57,6 +58,26 @@ class TestUndirectedGraph:
         g = UndirectedGraph(3, [(0, 1)])
         assert g.has_edge(1, 0)
         assert not g.has_edge(1, 2)
+
+    def test_masks_list_the_neighbors(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            g = random_graph(rng, n_max=12)
+            nbrs = [set() for _ in range(g.vertex_count)]
+            for u, v in g.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            assert [mask_bits(m) for m in g.masks] == [sorted(s) for s in nbrs]
+
+    def test_from_masks_sorts_edges_and_keeps_the_masks(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            g = random_graph(rng, n_max=12)
+            h = UndirectedGraph.from_masks(g.masks)
+            assert h.vertex_count == g.vertex_count
+            assert h.edges == tuple(sorted(g.edges))
+            assert "masks" in h.__dict__ and h.masks == g.masks
+            assert h.degrees == g.degrees
 
 
 class TestDigraph:
@@ -230,6 +251,18 @@ class TestRotationValidation:
         rot = RotationSystem([(1, 1), (1, 2), (2, 3)])
         with pytest.raises(RotationError):
             rot.validate(named_graphs["triangle"])
+
+    def test_face_tracing_checks_the_rotation_itself(self, named_graphs):
+        triangle = named_graphs["triangle"]
+        with pytest.raises(RotationError, match="rotation at vertex 2 is not a permutation"):
+            faces_and_genus_check(triangle, RotationSystem([(1, 3), (1, 2), (2, 9)]))
+        with pytest.raises(RotationError, match="rotation covers 2 vertices, graph has 3"):
+            faces_and_genus_check(triangle, RotationSystem([(1, 3), (1, 2)]))
+
+    def test_mismatch_search_covers_only_the_given_vertices(self, named_graphs):
+        rot = RotationSystem([(1, 1), (1, 2), (2, 3)])
+        assert rot.mismatched_vertex(named_graphs["triangle"], [1, 2]) is None
+        assert rot.mismatched_vertex(named_graphs["triangle"]) == 0
 
 
 class TestDegreeProfile:

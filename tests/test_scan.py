@@ -413,6 +413,23 @@ class TestIsolatedVertices:
         assert rec.degree_histogram == {0: 1_000_000}
         assert rec.validation_failures[:2] == ["degrees", "connected"]
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b"p conj 100000 0\n", b"p conj 1000000 0\nr 1\n", TRIANGLE_AND_FOUR_LONE_VERTICES],
+    )
+    def test_no_per_vertex_structure_is_built(self, monkeypatch, blob):
+        for name in ("masks", "incident_edge_ids"):
+            monkeypatch.setattr(UndirectedGraph, name, _forbidden(name))
+        rec = evaluate_instance("hostile", blob, HYPOTHESES, 2000, 60, 60)
+        assert rec.validation_failures[0] == "degrees"
+
+
+def _forbidden(name):
+    def get(self):
+        raise AssertionError(f"UndirectedGraph.{name} was built")
+
+    return property(get)
+
 
 @pytest.fixture(scope="module")
 def small_scan(tmp_path_factory):
