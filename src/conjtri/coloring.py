@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import core
-from .graphs import SizeLimitError, UndirectedGraph, connected_components, mask_bits
+from .graphs import SizeLimitError, UndirectedGraph, mask_bits
 from .construct import line_graph_of
 
 DEFAULT_VERTEX_CAP = 60
@@ -154,7 +154,7 @@ def coloring_bounds(
     ``greedy`` is ``greedy_coloring(g)`` when the caller already has it."""
     rho = max(g.degrees, default=0)
     brooks = rho
-    for block in connected_components(g):
+    for block in g.components:
         if all(g.degrees[v] == len(block) - 1 for v in block):
             brooks = rho + 1  # complete component K_{rho+1}
             break

@@ -9,6 +9,7 @@ edge subdivisions).
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -17,7 +18,6 @@ from .graphs import (
     RotationError,
     RotationSystem,
     UndirectedGraph,
-    connected_components,
     faces_and_genus_check,
     rotation_from_oriented_faces,
 )
@@ -123,7 +123,7 @@ def validate_conjugated(
         CheckResult("degrees", "pass" if not bad_deg else "fail", bad_deg)
     )
 
-    comps = connected_components(g)
+    comps = g.components
     if len(comps) == 1:
         checks.append(CheckResult("connected", "pass"))
     else:
@@ -161,15 +161,23 @@ def require_conjugated(
 def line_graph_of(g: UndirectedGraph) -> UndirectedGraph:
     """Edge-adjacency graph: one vertex per edge of ``g``, adjacent iff the
     edges share an endpoint.  Vertex ``i`` stands for edge id ``i + 1``.
-    ``inc[v]`` has bit ``i`` set for each edge ``i`` at ``v``, so the
-    neighbors of edge ``i = uv`` are ``inc[u] | inc[v]`` less ``i`` itself."""
-    inc = [0] * g.vertex_count
+    ``inc[v]`` lists the edges at ``v`` ascending, and as the edges are
+    visited in order ``pos[v]`` moves past the current one, so edge ``uv``'s
+    later neighbors are the two runs after ``pos[u]`` and ``pos[v]``.  The
+    work is linear in the line graph's size, and its neighbor masks are
+    left for the capped coloring steps to build."""
+    inc = [[] for _ in range(g.vertex_count)]
     for i, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    return UndirectedGraph.from_masks(
-        [(inc[u] | inc[v]) ^ (1 << i) for i, (u, v) in enumerate(g.edges)]
-    )
+        inc[u].append(i)
+        inc[v].append(i)
+    pos = [0] * g.vertex_count
+    edges = []
+    for i, (u, v) in enumerate(g.edges):
+        pu = pos[u] = pos[u] + 1
+        pv = pos[v] = pos[v] + 1
+        edges.extend(zip(repeat(i), sorted(inc[u][pu:] + inc[v][pv:])))
+    degrees = [len(inc[u]) + len(inc[v]) - 2 for u, v in g.edges]
+    return UndirectedGraph.from_trusted_edges(edges, degrees)
 
 
 def euler_circuit(
@@ -181,7 +189,7 @@ def euler_circuit(
     odd = [v for v in range(g.vertex_count) if g.degrees[v] % 2]
     if odd:
         raise OddDegreeError(odd)
-    comps = [c for c in connected_components(g) if len(c) > 1 or g.degrees[c[0]] > 0]
+    comps = [c for c in g.components if len(c) > 1 or g.degrees[c[0]] > 0]
     if len(comps) > 1:
         raise DisconnectedError(comps)
     if g.edge_count == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import RotationError, RotationSystem, UndirectedGraph
+from .graphs import RotationSystem, UndirectedGraph
 
 
 class GraphFormatError(ValueError):
@@ -117,12 +117,12 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
     rotation = RotationSystem.from_rows(
         v_count, {v - 1: row for v, row in rotations.items()}
     )
-    listed = sorted(v - 1 for v in rotations)
-    try:
-        rotation.validate(graph, listed)
-    except RotationError as exc:
-        bad = rotation.mismatched_vertex(graph, listed) + 1
-        raise GraphFormatError(rotation_lines[bad], str(exc)) from None
+    bad = rotation.mismatched_vertex(graph, sorted(v - 1 for v in rotations))
+    if bad is not None:
+        raise GraphFormatError(
+            rotation_lines[bad + 1],
+            f"rotation at vertex {bad} is not a permutation of its incident edges",
+        )
     return graph, rotation
 
 

@@ -62,6 +62,20 @@ class UndirectedGraph:
         object.__setattr__(self, "edges", tuple(normalized))
 
     @classmethod
+    def from_trusted_edges(
+        cls, edges: Sequence[tuple[int, int]], degrees: Sequence[int]
+    ) -> "UndirectedGraph":
+        """The graph on ``len(degrees)`` vertices with these edges and
+        degrees cached, taken as they are: each edge ``(min, max)``, in range
+        and distinct.  Callers derive them from a graph, so they are not
+        checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", len(degrees))
+        object.__setattr__(g, "edges", tuple(edges))
+        g.__dict__["degrees"] = tuple(degrees)
+        return g
+
+    @classmethod
     def from_masks(cls, masks: Sequence[int]) -> "UndirectedGraph":
         """The graph whose vertex ``v`` has neighbor bitmask ``masks[v]``,
         edges in sorted order, with its masks and degrees cached.  The masks
@@ -74,11 +88,8 @@ class UndirectedGraph:
                 low = m & -m
                 edges.append((u, u + low.bit_length()))
                 m ^= low
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", len(masks))
-        object.__setattr__(g, "edges", tuple(edges))
+        g = cls.from_trusted_edges(edges, [m.bit_count() for m in masks])
         g.__dict__["masks"] = tuple(masks)
-        g.__dict__["degrees"] = tuple(m.bit_count() for m in masks)
         return g
 
     @property
@@ -108,8 +119,9 @@ class UndirectedGraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """See ``connected_components``.  The search walks the incident
-        edges, so it is linear in V + E."""
+        """Vertex partition into connectivity classes, each ascending,
+        ordered by smallest member.  The search walks the incident edges, so
+        it is linear in V + E."""
         edges, incident = self.edges, self.incident_edge_ids
         seen = [False] * self.vertex_count
         blocks = []
@@ -283,17 +295,12 @@ class RotationSystem:
         object.__setattr__(rot, "orders", tuple(orders))
         return rot
 
-    def validate(
-        self, g: UndirectedGraph, vertices: Optional[Iterable[int]] = None
-    ) -> None:
-        """Raise RotationError unless the rotation covers every vertex of
-        ``g`` and each row of ``vertices`` (default: all, ascending) is a
-        permutation of its incident edge ids."""
+    def validate(self, g: UndirectedGraph) -> None:
         if len(self.orders) != g.vertex_count:
             raise RotationError(
                 f"rotation covers {len(self.orders)} vertices, graph has {g.vertex_count}"
             )
-        v = self.mismatched_vertex(g, vertices)
+        v = self.mismatched_vertex(g)
         if v is not None:
             raise RotationError(
                 f"rotation at vertex {v} is not a permutation of its incident edges"
@@ -340,14 +347,8 @@ def degree_profile(g: UndirectedGraph) -> DegreeProfile:
     )
 
 
-def connected_components(g: UndirectedGraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex partition into connectivity classes, each ascending, ordered
-    by smallest member; computed once per graph."""
-    return g.components
-
-
 def is_connected(g: UndirectedGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(g.components) <= 1
 
 
 def find_triangles(g: UndirectedGraph) -> list[tuple[int, int, int]]:

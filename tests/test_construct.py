@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,20 @@ class TestLineGraph:
         g = named_graphs["petersen"]
         lg = line_graph_of(g)
         assert lg.edge_count == sum(d * (d - 1) for d in g.degrees) // 2
+
+    def test_memory_is_linear_in_edges(self):
+        n = 50_000
+        g = UndirectedGraph(n, [(i, (i + 1) % n) for i in range(n)])
+        tracemalloc.start()
+        try:
+            lg = line_graph_of(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 12 MB here; the neighbor masks of this line graph alone would
+        # hold E**2 / 2 bits, over 150 MB.
+        assert peak < 40 * 10**6, f"peak {peak / 10**6:.1f} MB"
+        assert lg.edge_count == n and "masks" not in lg.__dict__
 
 
 class TestEulerCircuit:

@@ -12,7 +12,6 @@ from conjtri.graphs import (
     RotationSystem,
     UndirectedGraph,
     are_isomorphic,
-    connected_components,
     degree_profile,
     faces_and_genus_check,
     find_triangles,
@@ -123,7 +122,7 @@ class TestAdjacencyMatrix:
 class TestConnectivity:
     def test_components_sorted(self):
         g = UndirectedGraph(5, [(3, 4), (0, 1)])
-        assert [sorted(b) for b in connected_components(g)] == [[0, 1], [2], [3, 4]]
+        assert [sorted(b) for b in g.components] == [[0, 1], [2], [3, 4]]
 
     def test_is_connected(self, named_graphs):
         assert is_connected(named_graphs["k4"])

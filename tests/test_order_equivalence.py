@@ -63,8 +63,7 @@ def assert_same_line_graph(g):
     assert (lg.vertex_count, list(lg.edges)) == oracles.line_graph_pairs(
         g.vertex_count, g.edges
     )
-    # The masks the graph was built from are the masks of its edges.
-    assert lg.masks == UndirectedGraph(lg.vertex_count, lg.edges).masks
+    assert lg.degrees == UndirectedGraph(lg.vertex_count, lg.edges).degrees
 
 
 def randomly_oriented(g, rng):
