@@ -58,6 +58,10 @@ from .scan import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FORMAT = 2
+# `validate` lists at most this many entries of a check's details, and at
+# most this many vertices of a listed component, so its output is bounded
+# whatever V the header declares; "details_total" counts every entry.
+DETAIL_LIMIT = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +113,15 @@ def _cmd_validate(args) -> int:
             "vertices": graph.vertex_count,
             "edges": graph.edge_count,
             "checks": [
-                {"name": c.name, "status": c.status, "details": c.details}
+                {
+                    "name": c.name,
+                    "status": c.status,
+                    "details": [
+                        d[:DETAIL_LIMIT] if isinstance(d, tuple) else d
+                        for d in c.details[:DETAIL_LIMIT]
+                    ],
+                    "details_total": len(c.details),
+                }
                 for c in report.checks
             ],
         },
@@ -118,8 +130,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    graph, _ = _load_graph(args)
-    res = chromatic_number(graph, args.max_n, node_budget=_budget(args))
+    graph, rotation = _load_graph(args)
+    # A file whose rotation validates hands its traced faces to the Tait step.
+    faces = None
+    if rotation is not None:
+        outcome = validate_conjugated(graph, rotation)
+        if isinstance(outcome, ConjugatedTriangulation):
+            faces = outcome.faces
+    res = chromatic_number(graph, args.max_n, node_budget=_budget(args), faces=faces)
     _emit_json(
         args.output,
         {
@@ -127,6 +145,7 @@ def _cmd_gamma(args) -> int:
             "lower": res.lower,
             "upper": res.upper,
             "nodes": res.nodes,
+            "certificate": res.certificate,
             "witness": list(res.witness.colors) if res.witness else None,
         },
     )
@@ -179,7 +198,9 @@ def _cmd_induce(args) -> int:
     graph, rotation = _load_graph(args)
     ct = require_conjugated(graph, rotation)
     oriented = orient_along_circuit(ct, euler_circuit(ct))
-    res = chromatic_number(graph, args.max_n, node_budget=_budget(args))
+    res = chromatic_number(
+        graph, args.max_n, node_budget=_budget(args), faces=ct.faces
+    )
     if res.value is None or res.value > 3:
         _emit_json(
             args.output,

@@ -2,11 +2,15 @@
 
 The exact searches are DSATUR-ordered backtracking with the first greedy
 clique pinned for symmetry breaking, run on the selected kernel backend.
-The edge chromatic number is settled by a certificate before any search
-when one applies: the parity lemma, a lower-bound theorem, proves
+The chromatic number is settled by a certificate before any search when
+one applies: a breadth-first 2-coloring either proves gamma = 2 or finds
+an odd cycle, so gamma >= 3; on a plane graph whose degrees are 2 and 4,
+a verified 3-coloring built from a 4-coloring of one face class (Tait,
+1880) then proves gamma = 3.  The edge chromatic number is settled the
+same way: the parity lemma, a lower-bound theorem, proves
 chi = Delta + 1; otherwise a verified Delta-edge-coloring found by
 Kempe-chain recoloring meets the Delta lower bound.  Search runs only for
-the values neither settles.
+the values no certificate settles.
 Search budgets never produce wrong answers: an exhausted budget yields an
 indeterminate result carrying the best proven bounds.
 """
@@ -14,7 +18,7 @@ indeterminate result carrying the best proven bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import core
 from .graphs import SizeLimitError, UndirectedGraph, mask_bits
@@ -62,9 +66,10 @@ class ChromaticResult:
     are then the best proven bounds.  ``nodes`` counts search-tree nodes
     over all decision calls, so it is identical across kernel backends.
     ``certificate`` names what spared search work: a lower-bound theorem
-    that starts the search at Delta + 1 ("parity"), or a verified witness
-    that meets the Delta lower bound, so that no search runs ("kempe").
-    It is None when the search alone decided.
+    that starts the search higher ("parity" at Delta + 1, "odd_cycle" at
+    3), or a verified witness that meets the lower bound, so that no search
+    runs ("kempe" at Delta, "bipartite" at 2, "tait" at 3).  It is None
+    when the search alone decided.
     """
 
     value: Optional[int]
@@ -199,6 +204,34 @@ def decide_k_coloring(
     return status, witness, nodes
 
 
+def two_coloring(g: UndirectedGraph, first: int = 0) -> Optional[VertexColoring]:
+    """The proper 2-coloring found breadth first, or None when the graph
+    has an odd cycle.  Each component starts from its smallest vertex with
+    color 0, except that ``first`` starts the search, so a connected graph
+    gets the coloring that gives ``first`` color 0."""
+    masks = g.masks
+    colors = [-1] * g.vertex_count
+    for start in (first, *range(g.vertex_count)):
+        if colors[start] >= 0:
+            continue
+        colors[start] = 0
+        side = [0, 0]  # vertices of each color in this component, as masks
+        side[0] = frontier = 1 << start
+        color = 0
+        while frontier:
+            reached = 0
+            for v in mask_bits(frontier):
+                reached |= masks[v]
+            color ^= 1
+            if reached & side[color ^ 1]:
+                return None
+            frontier = reached & ~side[color]
+            side[color] |= frontier
+            for v in mask_bits(frontier):
+                colors[v] = color
+    return VertexColoring(tuple(colors), 2)
+
+
 def chromatic_number(
     g: UndirectedGraph,
     max_vertices: int = DEFAULT_VERTEX_CAP,
@@ -206,11 +239,20 @@ def chromatic_number(
     *,
     lower_bound: int = 0,
     greedy: Optional[VertexColoring] = None,
+    faces: Optional[Sequence[Sequence[tuple[int, int, int]]]] = None,
 ) -> ChromaticResult:
     """Exact chromatic number by iterative deepening from the greedy clique
     size, or from ``lower_bound`` when the caller has proven a larger one.
     ``greedy`` is ``greedy_coloring(g)`` when the caller already has it; it
-    is the upper bound and its witness."""
+    is the upper bound and its witness.
+
+    Two certificates come before any search.  Where the search would start
+    at 2, ``two_coloring`` either proves gamma = 2 ("bipartite") or finds
+    an odd cycle, so the search starts at 3 ("odd_cycle").  Where it would
+    start at 3 below the greedy bound and ``faces`` gives the traced faces
+    of a planar embedding of ``g`` (``ConjugatedTriangulation.faces``),
+    ``tait_coloring`` looks for a 3-coloring; once verified, it proves
+    gamma = 3 with no search ("tait")."""
     if g.vertex_count > max_vertices:
         raise SizeLimitError(
             f"vertex coloring capped at {max_vertices} vertices, got {g.vertex_count}"
@@ -223,6 +265,16 @@ def chromatic_number(
         return ChromaticResult(1, 1, 1, VertexColoring((0,) * n, 1), 0)
     clique = greedy_clique(g)
     lb = max(2, len(clique), lower_bound)
+    certificate = None
+    if lb == 2 < ub.palette_size:
+        witness = two_coloring(g, clique[0])
+        if witness is not None:
+            return ChromaticResult(2, 2, 2, witness, 0, "bipartite")
+        lb, certificate = 3, "odd_cycle"
+    if lb == 3 < ub.palette_size and faces is not None:
+        witness = tait_coloring(g, faces)
+        if witness is not None:
+            return ChromaticResult(3, 3, 3, witness, 0, "tait")
     pinned = [-1] * n
     for c, v in enumerate(clique):
         pinned[v] = c
@@ -230,16 +282,125 @@ def chromatic_number(
     for k in range(lb, ub.palette_size + 1):
         if k >= ub.palette_size:
             # The greedy witness already proves k colors suffice.
-            return ChromaticResult(k, k, k, ub, total_nodes)
+            return ChromaticResult(k, k, k, ub, total_nodes, certificate)
         status, colors, nodes = _decide(g, k, pinned, node_budget)
         total_nodes += nodes
         if status == core.SAT:
             return ChromaticResult(
-                k, k, k, VertexColoring(tuple(colors), k), total_nodes
+                k, k, k, VertexColoring(tuple(colors), k), total_nodes, certificate
             )
         if status == core.ABORTED:
-            return ChromaticResult(None, k, ub.palette_size, None, total_nodes)
+            return ChromaticResult(
+                None, k, ub.palette_size, None, total_nodes, certificate
+            )
     raise AssertionError("greedy upper bound was not reached")
+
+
+def tait_coloring(
+    g: UndirectedGraph, faces: Sequence[Sequence[tuple[int, int, int]]]
+) -> Optional[VertexColoring]:
+    """A 3-coloring of a plane graph whose degrees are 2 and 4, from a
+    4-coloring of one class of its faces (Tait, 1880), or None.
+
+    ``faces`` are the faces of a planar embedding of ``g`` as darts
+    ``(tail, head, edge_id)``, as ``faces_and_genus_check`` traces them.
+    All degrees are even, so the faces split into two classes with the
+    faces on the two sides of each edge in different classes.  For a class
+    A, let H be the graph on the A faces with these edges:
+
+    - u_x v_x, where u_x and v_x are the two A faces at a degree-4 vertex x;
+    - u w, for each edge xy between degree-4 vertices, where s is the A
+      face along xy, u is the other A face at x and w the other at y.
+
+    A proper coloring c of H with values 0..3, read as Z2 x Z2, gives each
+    degree-4 vertex x the color c(u_x) XOR c(v_x) - 1 in 0..2: an edge xy
+    gets c(s) XOR c(u) - 1 and c(s) XOR c(w) - 1, which differ.  Each
+    degree-2 vertex then takes the first color its two neighbors leave
+    free.  H is built first for the class with fewer faces (on a tie, the
+    class of the first face), then for the other.  A class is given up
+    when an A face meets a degree-4 vertex twice, or ``u = w`` (either would
+    be a loop of H), or the greedy coloring of H uses 5 colors.  For the
+    medial graph of a triangulation T, the smaller class is that of T's
+    vertices, where H = T, so by the Four Color Theorem a certificate
+    exists; on a stacked triangulation, which is 3-degenerate, the greedy
+    coloring finds one.  The coloring is returned only once
+    ``verify_vertex_coloring`` accepts it."""
+    degrees = g.degrees
+    if any(d not in (2, 4) for d in degrees):
+        return None
+    # Dart (tail, head, eid) is 2 * eid + (tail > head); its reverse is ^ 1.
+    face_of = [0] * (2 * g.edge_count + 2)
+    corners: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for f, face in enumerate(faces):
+        for tail, head, eid in face:
+            face_of[2 * eid + (tail > head)] = f
+            corners[head].append(f)
+    side = [-1] * len(faces)
+    for root in range(len(faces)):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            other = side[f] ^ 1
+            for tail, head, eid in faces[f]:
+                h = face_of[2 * eid + (head > tail)]
+                if side[h] < 0:
+                    side[h] = other
+                    stack.append(h)
+                elif side[h] != other:
+                    return None  # the faces are not 2-colorable
+    # A face's vertex in H is its position among the faces of its class.
+    pos, size = [], [0, 0]
+    for s in side:
+        pos.append(size[s])
+        size[s] += 1
+    big = [x for x, d in enumerate(degrees) if d == 4]
+    for cls in (0, 1) if size[0] <= size[1] else (1, 0):
+        masks = [0] * size[cls]
+        pair = {}  # degree-4 vertex -> its two faces of the class, in H
+        for x in big:
+            u, v = [pos[f] for f in corners[x] if side[f] == cls]
+            if u == v:
+                break
+            pair[x] = (u, v)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        else:
+            for eid, (x, y) in enumerate(g.edges, start=1):
+                if x in pair and y in pair:
+                    f = face_of[2 * eid]
+                    if side[f] != cls:
+                        f = face_of[2 * eid + 1]
+                    s = pos[f]
+                    u = sum(pair[x]) - s
+                    w = sum(pair[y]) - s
+                    if u == w:
+                        break
+                    masks[u] |= 1 << w
+                    masks[w] |= 1 << u
+            else:
+                h_colors = greedy_coloring(UndirectedGraph.from_masks(masks))
+                if h_colors.palette_size <= 4:
+                    witness = _tait_witness(g, pair, h_colors.colors)
+                    if not verify_vertex_coloring(g, witness):
+                        return witness
+    return None
+
+
+def _tait_witness(
+    g: UndirectedGraph, pair: dict[int, tuple[int, int]], c: Sequence[int]
+) -> VertexColoring:
+    colors = [-1] * g.vertex_count
+    for x, (u, v) in pair.items():
+        colors[x] = (c[u] ^ c[v]) - 1
+    masks = g.masks
+    for x, d in enumerate(g.degrees):
+        if d == 2:
+            a, b = (colors[w] for w in mask_bits(masks[x]))
+            colors[x] = next(k for k in (0, 1, 2) if k != a and k != b)
+    return VertexColoring(tuple(colors), 3)
 
 
 def parity_proves_class_two(g: UndirectedGraph) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import repeat
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .graphs import (
     Digraph,
@@ -73,14 +73,21 @@ class ValidationReport:
         raise KeyError(name)
 
 
+Face = tuple[tuple[int, int, int], ...]
+
+
 @dataclass(frozen=True)
 class ConjugatedTriangulation:
     """A validated instance: connected, loop-free, every degree 2 or 4,
-    and planar whenever a rotation system is supplied."""
+    and planar whenever a rotation system is supplied.  ``faces`` are the
+    faces that validation traced from the rotation, as darts
+    ``(tail, head, edge_id)`` (see ``faces_and_genus_check``), or None
+    without a rotation."""
 
     graph: UndirectedGraph
     rotation: Optional[RotationSystem]
     validation: ValidationReport
+    faces: Optional[tuple[Face, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,8 @@ def validate_conjugated(
 
     Returns the validated instance when all checks pass (planarity counts
     as passed only when a rotation system certifies it; without one it is
-    recorded as skipped), otherwise the full report.
+    recorded as skipped), otherwise the full report.  The instance keeps
+    the faces traced for the planarity check.
     """
     checks = []
     # Loop/parallel freedom is enforced by the UndirectedGraph constructor.
@@ -131,11 +139,12 @@ def validate_conjugated(
             CheckResult("connected", "fail", comps)
         )
 
+    faces = None
     if rot is None:
         checks.append(CheckResult("planarity", "skipped"))
     else:
         try:
-            _, verdict = faces_and_genus_check(g, rot)
+            faces, verdict = faces_and_genus_check(g, rot)
         except RotationError as exc:
             checks.append(CheckResult("planarity", "fail", (str(exc),)))
         else:
@@ -143,7 +152,9 @@ def validate_conjugated(
 
     report = ValidationReport(tuple(checks))
     if report.passed:
-        return ConjugatedTriangulation(g, rot, report)
+        return ConjugatedTriangulation(
+            g, rot, report, None if faces is None else tuple(faces)
+        )
     return report
 
 
@@ -243,11 +254,12 @@ def orient_along_circuit(
 
 def generate_stacked_triangulation(
     inserts: int, seed: int
-) -> tuple[UndirectedGraph, RotationSystem]:
+) -> tuple[UndirectedGraph, RotationSystem, list[tuple[int, int, int]]]:
     """Grow a planar triangulation from a triangle by repeatedly placing a
     new vertex inside a uniformly chosen face and joining it to the three
     corners.  Both sides of the starting triangle count as faces, so the
-    outer face may be subdivided too."""
+    outer face may be subdivided too.  Returns the graph, its rotation and
+    its faces as oriented vertex triples, the faces the rotation traces."""
     if inserts < 0:
         raise ValueError("inserts must be non-negative")
     rng = random.Random(seed)
@@ -267,22 +279,24 @@ def generate_stacked_triangulation(
         faces.extend([(a, b, w), (b, c, w), (c, a, w)])
     g = UndirectedGraph(n, edges)
     rot = rotation_from_oriented_faces(g, faces)
-    return g, rot
+    return g, rot, faces
 
 
 def medial_graph(
-    t: UndirectedGraph, rot: RotationSystem
+    t: UndirectedGraph, rot: RotationSystem, faces: Sequence[Sequence[int]]
 ) -> tuple[UndirectedGraph, RotationSystem]:
     """Graph on the edges of a plane graph ``t``; two are adjacent iff they
     are consecutive around a face.  For a cycle the medial is the cycle
     itself; otherwise every vertex of ``t`` must have degree >= 3, which
     rules out digon corners and makes the result simple and 4-regular.
-    The input embedding must pass the planarity check; its faces and vertex
-    rotations become the faces of the output rotation, which is not checked
-    again here."""
-    faces, verdict = faces_and_genus_check(t, rot)
-    if not verdict:
-        raise ValueError("input embedding is not planar-verified")
+    ``faces`` are the faces of the planar embedding ``rot`` as oriented
+    vertex cycles, in the form ``rotation_from_oriented_faces`` reads, as
+    ``generate_stacked_triangulation`` returns them.  They are not traced
+    again: only their count is checked against Euler's formula.  The faces
+    and vertex rotations of ``t`` become the faces of the output rotation.
+    The output does not depend on the order or starting corner of the
+    faces: its edges are sorted and each rotation row starts at its
+    vertex's smallest edge id."""
     degs = t.degrees
     if min(degs, default=0) < 2:
         raise ValueError("medial graph requires minimum degree 2")
@@ -292,24 +306,25 @@ def medial_graph(
         raise ValueError(
             "medial graph implemented for cycles or minimum degree 3 only"
         )
+    if t.vertex_count - t.edge_count + len(faces) != 2:
+        raise ValueError("faces do not form a planar embedding")
 
-    m = t.edge_count
-    medial_edges = []
+    edge_id = {}
+    for i, (u, v) in enumerate(t.edges):
+        edge_id[u, v] = edge_id[v, u] = i
     face_cycles = []  # medial faces from t-faces
+    medial_edges = set()
     for face in faces:
-        cyc = tuple(eid - 1 for (_, _, eid) in face)
+        cyc = tuple(edge_id[face[i - 1], x] for i, x in enumerate(face))
         face_cycles.append(cyc)
-        k = len(cyc)
-        for i in range(k):
-            medial_edges.append((cyc[i], cyc[(i + 1) % k]))
+        for i, x in enumerate(cyc):
+            y = cyc[i - 1]
+            medial_edges.add((x, y) if x < y else (y, x))
 
-    vertex_cycles = []  # medial faces from t-vertices, opposite orientation
-    for v in range(t.vertex_count):
-        order = rot.orders[v]
-        vertex_cycles.append(tuple(eid - 1 for eid in reversed(order)))
+    # medial faces from t-vertices, opposite orientation
+    vertex_cycles = [tuple(eid - 1 for eid in reversed(order)) for order in rot.orders]
 
-    dedup = sorted({(min(e), max(e)) for e in medial_edges})
-    mg = UndirectedGraph(m, dedup)
+    mg = UndirectedGraph(t.edge_count, sorted(medial_edges))
     return mg, rotation_from_oriented_faces(mg, face_cycles + vertex_cycles)
 
 

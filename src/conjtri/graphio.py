@@ -127,9 +127,15 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
 
 
 def serialize_graph_file(
-    graph: UndirectedGraph, rotation: Optional[RotationSystem] = None
+    graph: UndirectedGraph,
+    rotation: Optional[RotationSystem] = None,
+    *,
+    trusted: bool = False,
 ) -> bytes:
-    if rotation is not None:
+    """The canonical file of ``graph`` and ``rotation``.  The rotation is
+    checked against the edges first, unless the caller built it from them
+    and passes ``trusted=True``."""
+    if rotation is not None and not trusted:
         rotation.validate(graph)
     lines = [f"p conj {graph.vertex_count} {graph.edge_count}"]
     for u, v in graph.edges:

@@ -302,9 +302,7 @@ class RotationSystem:
             )
         v = self.mismatched_vertex(g)
         if v is not None:
-            raise RotationError(
-                f"rotation at vertex {v} is not a permutation of its incident edges"
-            )
+            _raise_mismatch(v)
 
     def mismatched_vertex(
         self, g: UndirectedGraph, vertices: Optional[Iterable[int]] = None
@@ -462,24 +460,33 @@ def faces_and_genus_check(
     A face is a tuple of darts ``(tail, head, edge_id)``.  The verdict is
     true iff the graph is connected and V - E + F = 2, which certifies a
     planar (genus 0) embedding.  Leaving a vertex, the walk continues along
-    the rotation successor of the edge it arrived by.
+    the rotation successor of the edge it arrived by.  The loop that builds
+    the successor table also checks each row, so a rotation that is not a
+    permutation of the incident edges raises RotationError naming the
+    first such vertex, as ``RotationSystem.validate`` would.
     """
-    rot.validate(g)
     n, m = g.vertex_count, g.edge_count
+    if len(rot.orders) != n:
+        raise RotationError(
+            f"rotation covers {len(rot.orders)} vertices, graph has {n}"
+        )
+    edges, degrees = g.edges, g.degrees
+    next_edge: dict[tuple[int, int], int] = {}
+    for v, order in enumerate(rot.orders):
+        d = len(order)
+        if d != degrees[v]:
+            _raise_mismatch(v)
+        for i, eid in enumerate(order):
+            if not (0 < eid <= m and v in edges[eid - 1]) or (v, eid) in next_edge:
+                _raise_mismatch(v)
+            next_edge[v, eid] = order[i + 1 - d]
     if m == 0:
         face_total = 1 if n >= 1 else 0
         verdict = is_connected(g) and (n - m + face_total == 2)
         return [], verdict
 
-    next_pos = {}
-    for v in range(n):
-        order = rot.orders[v]
-        d = len(order)
-        for i, eid in enumerate(order):
-            next_pos[(v, eid)] = order[(i + 1) % d]
-
     darts = sorted(
-        d for eid, (u, v) in enumerate(g.edges, start=1) for d in ((u, v, eid), (v, u, eid))
+        d for eid, (u, v) in enumerate(edges, start=1) for d in ((u, v, eid), (v, u, eid))
     )
     # A face is traced from its smallest dart, so faces come in that order.
     visited = set()
@@ -493,14 +500,21 @@ def faces_and_genus_check(
             walk.append(dart)
             visited.add(dart)
             _, head, eid = dart
-            nxt_edge = next_pos[(head, eid)]
-            dart = (head, g.other_endpoint(nxt_edge, head), nxt_edge)
+            nxt = next_edge[head, eid]
+            a, b = edges[nxt - 1]
+            dart = (head, a + b - head, nxt)
             if dart == start:
                 break
         faces.append(tuple(walk))
 
     verdict = is_connected(g) and (n - m + len(faces) == 2)
     return faces, verdict
+
+
+def _raise_mismatch(v: int) -> None:
+    raise RotationError(
+        f"rotation at vertex {v} is not a permutation of its incident edges"
+    )
 
 
 def rotation_from_oriented_faces(

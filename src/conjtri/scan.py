@@ -62,6 +62,12 @@ H12_READING = (
     "orientation (smallest-edge-first circuit)"
 )
 ORACLE_RECHECK_MAX_VERTICES = 8
+# What the H10/H13 detail adds for each certificate of the gamma value.
+GAMMA_CERTIFICATE_NOTES = {
+    "bipartite": " (breadth-first 2-coloring witness)",
+    "odd_cycle": " (odd-cycle lower bound 3)",
+    "tait": " (Tait face-coloring witness, odd-cycle lower bound)",
+}
 
 
 class ScanInputError(Exception):
@@ -261,16 +267,19 @@ def _derive_seed(base: int, *parts: int) -> int:
 def generate_corpus(recipe: GenRecipe) -> list[tuple[str, bytes]]:
     """Deterministic corpus: one serialized graph file per (inserts,
     subdivisions, replicate) cell, ids stable across runs.  The bytes are
-    those ``--input`` reads; ``evaluate_instance`` validates them."""
+    those ``--input`` reads; ``evaluate_instance`` validates them.  Each
+    triangulation hands its faces to ``medial_graph``, so generation traces
+    no faces, and the rotations it builds are written without a check."""
     out = []
     for i in recipe.inserts:
         for s in recipe.subdivisions:
             for r in range(recipe.replicates):
                 tri_seed = _derive_seed(recipe.base_seed, i, s, r, 0)
                 sub_seed = _derive_seed(recipe.base_seed, i, s, r, 1)
-                t, rot = generate_stacked_triangulation(i, tri_seed)
-                g, grot = subdivide_edges(*medial_graph(t, rot), s, sub_seed)
-                out.append((f"gen-i{i}-s{s}-r{r}", serialize_graph_file(g, grot)))
+                medial = medial_graph(*generate_stacked_triangulation(i, tri_seed))
+                g, grot = subdivide_edges(*medial, s, sub_seed)
+                blob = serialize_graph_file(g, grot, trusted=True)
+                out.append((f"gen-i{i}-s{s}-r{r}", blob))
     return out
 
 
@@ -400,7 +409,9 @@ def evaluate_instance(
     }
 
     t0 = time.perf_counter()
-    gamma = chromatic_number(graph, max_vertices, node_budget=budget, greedy=greedy)
+    gamma = chromatic_number(
+        graph, max_vertices, node_budget=budget, greedy=greedy, faces=ct.faces
+    )
     rec.timings_ms["gamma"] = (time.perf_counter() - t0) * 1000
     rec.gamma = _chromatic_dict(gamma)
     rec.nodes["gamma"] = gamma.nodes
@@ -413,6 +424,7 @@ def evaluate_instance(
 
     if "H10" in hypotheses or "H13" in hypotheses:
         verdict, detail = _threshold_verdict(gamma, VERTEX_COLOR_TARGET, "gamma")
+        detail += GAMMA_CERTIFICATE_NOTES.get(gamma.certificate, "")
         if verdict == "fail" and graph.vertex_count <= ORACLE_RECHECK_MAX_VERTICES:
             confirmed = exhaustive_chromatic_number(
                 graph, max_vertices=ORACLE_RECHECK_MAX_VERTICES

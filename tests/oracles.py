@@ -34,6 +34,52 @@ def chromatic_number_assignment(n, edges, k_max=None):
     raise AssertionError("no proper coloring up to k_max")
 
 
+def chromatic_number_backtrack(n, edges):
+    """Smallest k admitting a proper coloring, by plain backtracking over
+    the vertices in breadth-first order, so that every vertex but the first
+    of its component has a colored neighbor.  Fast enough for the 2- and
+    3-colorings of graphs of a few dozen vertices."""
+    if n == 0:
+        return 0
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order, seen = [], set()
+    for root in range(n):
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for v in queue:
+            order.append(v)
+            for w in sorted(adj[v] - seen):
+                seen.add(w)
+                queue.append(w)
+
+    def colorable(k):
+        colors = {}
+
+        def place(i):
+            if i == n:
+                return True
+            v = order[i]
+            for c in range(k):
+                if all(colors.get(w) != c for w in adj[v]):
+                    colors[v] = c
+                    if place(i + 1):
+                        return True
+                    del colors[v]
+            return False
+
+        return place(0)
+
+    k = 1
+    while not colorable(k):
+        k += 1
+    return k
+
+
 def edge_chromatic_assignment(n, edges, k_max=None):
     """Edge chromatic number by literal scan over k**m edge assignments."""
     m = len(edges)
@@ -234,6 +280,37 @@ def trace_faces_quadratic(edges, orders):
                 break
         faces.append(tuple(walk))
     return faces
+
+
+def medial_traced(n, edges, orders):
+    """Medial graph of a plane graph whose degrees are all at least 3, from
+    a fresh face trace, as (vertex count, sorted edge list, rotation rows).
+    Vertex i stands for edges[i].  Each face of the plane graph, and each
+    vertex rotation reversed, is a face of the medial graph; at a medial
+    corner a -> x -> b the medial edge xb follows xa in x's rotation.  A
+    row starts at its vertex's smallest edge id."""
+    faces = trace_faces_quadratic(edges, orders)
+    face_cycles = [[eid - 1 for _, _, eid in face] for face in faces]
+    vertex_cycles = [[eid - 1 for eid in reversed(order)] for order in orders]
+    medial = sorted(
+        {tuple(sorted((c[i - 1], c[i]))) for c in face_cycles for i in range(len(c))}
+    )
+    edge_id = {}
+    for eid, (u, v) in enumerate(medial, start=1):
+        edge_id[u, v] = edge_id[v, u] = eid
+    succ = {}
+    for c in face_cycles + vertex_cycles:
+        for i in range(len(c)):
+            a, x, b = c[i - 2], c[i - 1], c[i]
+            succ[x, edge_id[a, x]] = edge_id[x, b]
+    rows = []
+    for x in range(len(edges)):
+        first = min(eid for eid, e in enumerate(medial, start=1) if x in e)
+        row = [first]
+        while succ[x, row[-1]] != first:
+            row.append(succ[x, row[-1]])
+        rows.append(tuple(row))
+    return len(edges), medial, rows
 
 
 def line_graph_pairs(n, edges):

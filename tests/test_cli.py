@@ -99,6 +99,55 @@ class TestBasicCommands:
         # A Kempe witness replaces the search; parity only starts it at 5.
         assert (out["nodes"] == 0) == (certificate == "kempe")
 
+    def test_validate_output_is_bounded(self, tmp_path, capsys):
+        # 16 bytes declaring 100,000 isolated vertices: every vertex fails
+        # "degrees" and is a component of its own.
+        path = tmp_path / "wide.conj"
+        path.write_bytes(b"p conj 100000 0\n")
+        assert cli.main(["validate", "--input", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert len(text) < 4096
+        checks = {c["name"]: c for c in json.loads(text)["checks"]}
+        assert checks["degrees"]["details"] == list(range(cli.DETAIL_LIMIT))
+        assert checks["degrees"]["details_total"] == 100_000
+        assert checks["connected"]["details"] == [[v] for v in range(cli.DETAIL_LIMIT)]
+        assert checks["connected"]["details_total"] == 100_000
+
+    def test_validate_caps_a_listed_component(self, tmp_path, capsys):
+        n = 2000
+        two_cycles = UndirectedGraph(
+            2 * n,
+            [(i, (i + 1) % n) for i in range(n)]
+            + [(n + i, n + (i + 1) % n) for i in range(n)],
+        )
+        path = _write_graph(tmp_path / "two.conj", two_cycles)
+        out = _run_json(capsys, ["validate", "--input", path])
+        connected = next(c for c in out["checks"] if c["name"] == "connected")
+        assert connected["details_total"] == 2
+        assert connected["details"] == [
+            list(range(cli.DETAIL_LIMIT)),
+            list(range(n, n + cli.DETAIL_LIMIT)),
+        ]
+
+    def test_gamma_names_its_certificate(self, tmp_path, capsys):
+        recipe = scan_module.GenRecipe(inserts=(3,), subdivisions=(0,), replicates=1)
+        [(_, blob)] = scan_module.generate_corpus(recipe)
+        path = tmp_path / "medial.conj"
+        path.write_bytes(blob)
+        out = _run_json(capsys, ["gamma", "--input", str(path)])
+        assert (out["gamma"], out["nodes"], out["certificate"]) == (3, 0, "tait")
+        graph, _ = parse_graph_file(blob)
+        for u, v in graph.edges:
+            assert out["witness"][u] != out["witness"][v]
+        # The same graph without its rotation lines is searched.
+        bare = _write_graph(tmp_path / "bare.conj", graph)
+        out = _run_json(capsys, ["gamma", "--input", bare])
+        assert (out["gamma"], out["certificate"]) == (3, None)
+        assert out["nodes"] > 0
+        c5 = UndirectedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+        out = _run_json(capsys, ["gamma", "--input", _write_graph(tmp_path / "c5.conj", c5)])
+        assert (out["gamma"], out["nodes"], out["certificate"]) == (3, 0, "odd_cycle")
+
     def test_gamma_reads_stdin(self, capsys, monkeypatch):
         blob = serialize_graph_file(_c4())
         monkeypatch.setattr(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,9 +11,22 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conjtri import _core_py, coloring, core
-from conjtri.construct import line_graph_of
-from conjtri.graphs import SizeLimitError, UndirectedGraph
-from conjtri.scan import ScanConfig, run_hypothesis_scan
+from conjtri.construct import (
+    ConjugatedTriangulation,
+    generate_stacked_triangulation,
+    line_graph_of,
+    medial_graph,
+    validate_conjugated,
+)
+from conjtri.graphio import parse_graph_file
+from conjtri.graphs import (
+    RotationSystem,
+    SizeLimitError,
+    UndirectedGraph,
+    faces_and_genus_check,
+    rotation_from_oriented_faces,
+)
+from conjtri.scan import GenRecipe, ScanConfig, generate_corpus, run_hypothesis_scan
 from conjtri.coloring import (
     EdgeColoring,
     VertexColoring,
@@ -25,6 +39,8 @@ from conjtri.coloring import (
     greedy_coloring,
     kempe_edge_coloring,
     parity_proves_class_two,
+    tait_coloring,
+    two_coloring,
     verify_edge_coloring,
     verify_vertex_coloring,
 )
@@ -509,3 +525,184 @@ class TestExhaustiveVerifier:
         g = UndirectedGraph(9, [(i, i + 1) for i in range(8)])
         with pytest.raises(SizeLimitError):
             exhaustive_chromatic_number(g, max_vertices=8)
+
+
+def drawn_embedding(points, edges):
+    """Validated instance of a straight-line drawing: each rotation row
+    lists a vertex's edges by the angle of the edge."""
+    g = UndirectedGraph(len(points), edges)
+
+    def angle(v, eid):
+        w = g.other_endpoint(eid, v)
+        return math.atan2(points[w][1] - points[v][1], points[w][0] - points[v][0])
+
+    rot = RotationSystem(
+        sorted(ids, key=lambda eid: angle(v, eid))
+        for v, ids in enumerate(g.incident_edge_ids)
+    )
+    ct = validate_conjugated(g, rot)
+    assert isinstance(ct, ConjugatedTriangulation), ct
+    return ct
+
+
+def icosahedron_medial():
+    """Medial graph of the icosahedron (30 vertices, 60 edges).  The
+    smallest-last greedy coloring uses 4 colors on it, and 5 or more on the
+    graph H of either face class, so the Tait step gives up."""
+    upper, lower = [1, 2, 3, 4, 5], [6, 7, 8, 9, 10]
+    faces = []
+    for i in range(5):
+        a, b = upper[i], upper[(i + 1) % 5]
+        c, d = lower[i], lower[(i + 1) % 5]
+        faces += [(0, a, b), (11, d, c), (a, c, b), (b, c, d)]
+    edges = {tuple(sorted((f[i - 1], f[i]))) for f in faces for i in range(3)}
+    t = UndirectedGraph(12, sorted(edges))
+    ct = validate_conjugated(*medial_graph(t, rotation_from_oriented_faces(t, faces), faces))
+    assert isinstance(ct, ConjugatedTriangulation)
+    return ct
+
+
+def four_color_bound(g):
+    """A proper coloring with 4 colors: a 3-coloring with one vertex moved to
+    a fourth color.  Passed as ``greedy``, it makes the certificates run."""
+    three = chromatic_number(g)
+    assert three.value == 3
+    colors = list(three.witness.colors)
+    colors[0] = 3
+    return VertexColoring(tuple(colors), 4)
+
+
+@pytest.fixture(scope="module")
+def tait_recipe():
+    """Validated instances of a small recipe, with their greedy colorings."""
+    recipe = GenRecipe(inserts=tuple(range(7)), subdivisions=(0, 1, 2, 3), replicates=3)
+    out = []
+    for _, blob in generate_corpus(recipe):
+        ct = validate_conjugated(*parse_graph_file(blob))
+        out.append((ct, greedy_coloring(ct.graph)))
+    return out
+
+
+class TestTaitCertificate:
+    def test_recipe_witnesses_are_proper_and_exact(self, tait_recipe):
+        tait = 0
+        for ct, greedy in tait_recipe:
+            g = ct.graph
+            res = chromatic_number(g, greedy=greedy, faces=ct.faces)
+            assert verify_vertex_coloring(g, res.witness) == []
+            assert res.value == oracles.chromatic_number_backtrack(
+                g.vertex_count, g.edges
+            )
+            assert res.nodes == 0
+            if greedy.palette_size > 3:
+                tait += 1
+                assert (res.value, res.certificate) == (3, "tait")
+                assert res.witness == tait_coloring(g, ct.faces)
+        assert tait >= 20
+
+    def test_search_agrees_where_tait_decides(self, tait_recipe):
+        for ct, greedy in tait_recipe:
+            if greedy.palette_size > 3:
+                searched = chromatic_number(ct.graph, greedy=greedy)
+                assert searched.value == 3 and searched.nodes > 0
+                # A subdivided instance may have no triangle left.
+                assert searched.certificate in (None, "odd_cycle")
+
+    def test_medial_of_a_triangulation_is_certified_by_its_vertex_class(self):
+        # For the octahedron (the medial of K4) H is K4, which takes all 4
+        # colors, so each vertex reads the XOR of two distinct colors.
+        ct = validate_conjugated(*medial_graph(*generate_stacked_triangulation(1, 1)))
+        witness = tait_coloring(ct.graph, ct.faces)
+        assert verify_vertex_coloring(ct.graph, witness) == []
+        assert witness.palette_size == 3 and set(witness.colors) == {0, 1, 2}
+
+    def test_face_meeting_a_vertex_twice_in_one_class_uses_the_other(self, named_graphs):
+        # The bowtie's outer face meets the cut vertex twice; the smaller
+        # class is that face alone, so the two triangles' class certifies.
+        points = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
+        ct = drawn_embedding(points, named_graphs["bowtie"].edges)
+        witness = tait_coloring(ct.graph, ct.faces)
+        assert verify_vertex_coloring(ct.graph, witness) == []
+
+    def test_face_meeting_a_vertex_twice_in_both_classes_falls_back(self):
+        # A square with a triangle hung inside at vertex 0 and one outside at
+        # vertex 2: the square's inner face meets 0 twice, its outer face 2.
+        points = [(0, 0), (4, 0), (4, 4), (0, 4), (1, 0.5), (0.5, 1), (5, 6), (6, 5)]
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5),
+                 (2, 6), (6, 7), (2, 7)]
+        ct = drawn_embedding(points, edges)
+        assert tait_coloring(ct.graph, ct.faces) is None
+        res = chromatic_number(ct.graph, greedy=four_color_bound(ct.graph), faces=ct.faces)
+        # The greedy clique is an edge here; the odd cycle gives the 3.
+        assert (res.value, res.certificate) == (3, "odd_cycle")
+        assert res.nodes > 0
+        assert verify_vertex_coloring(ct.graph, res.witness) == []
+
+    def test_h_the_greedy_coloring_cannot_four_color_falls_back(self):
+        ct = icosahedron_medial()
+        g = ct.graph
+        greedy = greedy_coloring(g)
+        assert greedy.palette_size == 4
+        assert tait_coloring(g, ct.faces) is None
+        res = chromatic_number(g, greedy=greedy, faces=ct.faces)
+        assert (res.value, res.certificate) == (3, None)
+        assert res.nodes > 0
+        assert verify_vertex_coloring(g, res.witness) == []
+        assert res.value == oracles.chromatic_number_backtrack(g.vertex_count, g.edges)
+
+    def test_no_rotation_means_no_faces_and_a_search(self, tait_recipe):
+        ct, greedy = next(p for p in tait_recipe if p[1].palette_size > 3)
+        bare = validate_conjugated(ct.graph)
+        assert bare.faces is None
+        res = chromatic_number(bare.graph, greedy=greedy, faces=bare.faces)
+        assert (res.value, res.certificate) == (3, None)
+        assert res.nodes > 0
+
+    def test_an_improper_witness_is_rejected(self, tait_recipe, monkeypatch):
+        ct, greedy = next(p for p in tait_recipe if p[1].palette_size > 3)
+        monkeypatch.setattr(coloring, "verify_vertex_coloring", lambda g, c: [1])
+        assert tait_coloring(ct.graph, ct.faces) is None
+
+    def test_other_degrees_are_refused(self, named_graphs):
+        k4 = named_graphs["k4"]
+        rot = RotationSystem([(1, 2, 3), (1, 5, 4), (2, 4, 6), (3, 6, 5)])
+        faces, ok = faces_and_genus_check(k4, rot)
+        assert ok
+        assert tait_coloring(k4, faces) is None
+
+
+class TestBipartiteStep:
+    def test_two_coloring_agrees_with_the_oracle_and_the_search(self):
+        for n, edges in oracles.connected_atlas_graphs():
+            g = UndirectedGraph(n, edges)
+            if not edges:
+                continue
+            first = greedy_clique(g)[0]
+            witness = two_coloring(g, first)
+            bipartite = oracles.chromatic_number_backtrack(n, edges) <= 2
+            assert (witness is not None) == bipartite
+            if bipartite:
+                # On a connected graph the 2-coloring that gives ``first``
+                # color 0 is unique, so it is the search's witness too.
+                assert witness == decide_k_coloring(g, 2)[1]
+
+    def test_bipartite_certificate_replaces_the_two_color_search(self, named_graphs):
+        c4 = named_graphs["c4"]
+        loose = VertexColoring((0, 1, 0, 2), 3)  # proper, one color too many
+        res = chromatic_number(c4, greedy=loose)
+        assert (res.value, res.lower, res.upper, res.nodes) == (2, 2, 2, 0)
+        assert res.certificate == "bipartite"
+        assert res.witness == decide_k_coloring(c4, 2)[1]
+
+    def test_odd_cycle_skips_the_two_color_search(self, named_graphs):
+        c5 = named_graphs["c5"]
+        res = chromatic_number(c5)
+        assert (res.value, res.nodes, res.certificate) == (3, 0, "odd_cycle")
+        assert res.witness == greedy_coloring(c5)
+
+    def test_disconnected_graphs(self):
+        # Two components: each starts from its own root with color 0.
+        g = UndirectedGraph(5, [(0, 1), (3, 4), (2, 3)])
+        assert two_coloring(g, 3).colors == (0, 1, 1, 0, 1)
+        odd = UndirectedGraph(7, [(0, 1), (2, 3), (3, 4), (2, 4), (5, 6)])
+        assert two_coloring(odd) is None

@@ -4,6 +4,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from conjtri.graphs import (
     RotationSystem,
     UndirectedGraph,
@@ -66,6 +68,13 @@ class TestValidation:
         result = validate_conjugated(named_graphs["c4"], rot)
         assert isinstance(result, ConjugatedTriangulation)
         assert result.validation.check("planarity").status == "pass"
+
+    def test_validation_keeps_the_traced_faces(self, named_graphs):
+        rot = RotationSystem([(1, 4), (1, 2), (2, 3), (3, 4)])
+        result = validate_conjugated(named_graphs["c4"], rot)
+        faces, _ = faces_and_genus_check(named_graphs["c4"], rot)
+        assert result.faces == tuple(faces) and len(faces) == 2
+        assert validate_conjugated(named_graphs["c4"]).faces is None
 
     @pytest.mark.parametrize(
         "rows,message",
@@ -191,20 +200,37 @@ class TestOrientation:
 
 class TestStackedTriangulation:
     def test_zero_inserts_is_triangle(self):
-        t, rot = generate_stacked_triangulation(0, seed=1)
+        t, _, _ = generate_stacked_triangulation(0, seed=1)
         assert t.vertex_count == 3
         assert t.edge_count == 3
 
     def test_counts_grow_linearly(self):
-        t, _ = generate_stacked_triangulation(5, seed=2)
+        t, _, _ = generate_stacked_triangulation(5, seed=2)
         assert t.vertex_count == 8
         assert t.edge_count == 18
 
     def test_all_faces_are_triangles(self):
-        t, rot = generate_stacked_triangulation(4, seed=3)
+        t, rot, _ = generate_stacked_triangulation(4, seed=3)
         faces, ok = faces_and_genus_check(t, rot)
         assert ok
         assert all(len(f) == 3 for f in faces)
+
+    @pytest.mark.parametrize("inserts", range(7))
+    def test_returned_faces_are_the_traced_faces(self, inserts):
+        t, rot, faces = generate_stacked_triangulation(inserts, seed=inserts)
+        traced, _ = faces_and_genus_check(t, rot)
+
+        def cyclic_forms(cycles):
+            # Each cycle from its smallest vertex, keeping its orientation.
+            out = []
+            for c in cycles:
+                i = c.index(min(c))
+                out.append(tuple(c[i:]) + tuple(c[:i]))
+            return sorted(out)
+
+        assert cyclic_forms(faces) == cyclic_forms(
+            [tuple(tail for tail, _, _ in f) for f in traced]
+        )
 
     def test_deterministic_per_seed(self):
         a = generate_stacked_triangulation(6, seed=9)
@@ -218,14 +244,13 @@ class TestStackedTriangulation:
 
 class TestMedialGraph:
     def test_k4_gives_octahedron(self):
-        t, rot = generate_stacked_triangulation(1, seed=1)
-        mg, mrot = medial_graph(t, rot)
+        mg, mrot = medial_graph(*generate_stacked_triangulation(1, seed=1))
         assert are_isomorphic(mg, octahedron())[0]
 
     def test_four_regular_and_planar(self):
         for seed in (1, 5, 9):
-            t, rot = generate_stacked_triangulation(4, seed=seed)
-            mg, mrot = medial_graph(t, rot)
+            t, rot, faces = generate_stacked_triangulation(4, seed=seed)
+            mg, mrot = medial_graph(t, rot, faces)
             assert set(mg.degrees) == {4}
             assert mg.vertex_count == t.edge_count
             _, ok = faces_and_genus_check(mg, mrot)
@@ -233,26 +258,44 @@ class TestMedialGraph:
 
     def test_cycle_returns_itself(self, named_graphs):
         rot = RotationSystem([(1, 4), (1, 2), (2, 3), (3, 4)])
-        mg, mrot = medial_graph(named_graphs["c4"], rot)
+        faces = [(0, 1, 2, 3), (3, 2, 1, 0)]
+        mg, mrot = medial_graph(named_graphs["c4"], rot, faces)
         assert mg == named_graphs["c4"]
 
     def test_low_degree_non_cycle_rejected(self, named_graphs):
         # P4 has degree-1 endpoints: neither a cycle nor min degree 3
         rot = RotationSystem([(1,), (1, 2), (2, 3), (3,)])
         with pytest.raises(ValueError):
-            medial_graph(named_graphs["path4"], rot)
+            medial_graph(named_graphs["path4"], rot, [(0, 1, 2, 3, 2, 1)])
 
     def test_unverified_embedding_rejected(self, named_graphs):
+        # The two faces of a toroidal K4 break Euler's formula for the plane.
+        k4 = named_graphs["k4"]
         twisted = RotationSystem([(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 6, 5)])
-        with pytest.raises(ValueError):
-            medial_graph(named_graphs["k4"], twisted)
+        faces, ok = faces_and_genus_check(k4, twisted)
+        assert not ok and len(faces) == 2
+        cycles = [tuple(tail for tail, _, _ in f) for f in faces]
+        with pytest.raises(ValueError, match="planar"):
+            medial_graph(k4, twisted, cycles)
+
+    @pytest.mark.parametrize("inserts", range(1, 8))
+    def test_given_faces_match_the_traced_oracle(self, inserts):
+        for seed in range(4):
+            t, rot, faces = generate_stacked_triangulation(inserts, 31 * inserts + seed)
+            mg, mrot = medial_graph(t, rot, faces)
+            assert (mg.vertex_count, list(mg.edges), list(mrot.orders)) == (
+                oracles.medial_traced(t.vertex_count, t.edges, rot.orders)
+            )
+            # Face order and starting corners do not change the result.
+            shuffled = [f[1:] + f[:1] for f in reversed(faces)]
+            assert medial_graph(t, rot, shuffled) == (mg, mrot)
 
 
 class TestSubdivision:
     def _medial_ct(self, inserts, seed):
-        t, rot = generate_stacked_triangulation(inserts, seed)
-        mg, mrot = medial_graph(t, rot)
-        return require_conjugated(mg, mrot)
+        return require_conjugated(
+            *medial_graph(*generate_stacked_triangulation(inserts, seed))
+        )
 
     def _subdivided_ct(self, ct, count, seed):
         # subdivide_edges does not validate its result; the test does.
@@ -298,9 +341,7 @@ class TestSubdivision:
     seed=st.integers(0, 10**6),
 )
 def test_recipe_cells_always_yield_valid_instances(inserts, subs, seed):
-    t, rot = generate_stacked_triangulation(inserts, seed)
-    mg, mrot = medial_graph(t, rot)
-    ct = require_conjugated(mg, mrot)
+    ct = require_conjugated(*medial_graph(*generate_stacked_triangulation(inserts, seed)))
     subs = min(subs, ct.graph.edge_count)
     out = validate_conjugated(*subdivide_edges(ct.graph, ct.rotation, subs, seed + 1))
     assert isinstance(out, ConjugatedTriangulation), out

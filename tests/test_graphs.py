@@ -258,6 +258,34 @@ class TestRotationValidation:
         with pytest.raises(RotationError, match="rotation covers 2 vertices, graph has 3"):
             faces_and_genus_check(triangle, RotationSystem([(1, 3), (1, 2)]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_face_tracing_names_the_vertex_the_full_check_names(self, seed):
+        # Damage one row of a valid rotation: drop, repeat or replace an
+        # entry, or add one.  The trace's own check must name the same
+        # first bad vertex as RotationSystem.mismatched_vertex.
+        rng = random.Random(seed)
+        g = random_graph(rng)
+        orders = [list(ids) for ids in g.incident_edge_ids]
+        v = rng.randrange(g.vertex_count)
+        row = orders[v]
+        kind = rng.choice(["drop", "repeat", "replace", "add"])
+        if kind == "drop" and row:
+            row.pop(rng.randrange(len(row)))
+        elif kind == "repeat" and row:
+            row.append(rng.choice(row))
+        elif kind == "replace" and row:
+            row[rng.randrange(len(row))] = rng.randrange(-1, g.edge_count + 3)
+        else:
+            row.insert(rng.randrange(len(row) + 1), rng.randrange(-1, g.edge_count + 3))
+        rot = RotationSystem(orders)
+        bad = rot.mismatched_vertex(g)
+        if bad is None:
+            faces_and_genus_check(g, rot)
+        else:
+            with pytest.raises(RotationError, match=f"rotation at vertex {bad} is not"):
+                faces_and_genus_check(g, rot)
+
     def test_mismatch_search_covers_only_the_given_vertices(self, named_graphs):
         rot = RotationSystem([(1, 1), (1, 2), (2, 3)])
         assert rot.mismatched_vertex(named_graphs["triangle"], [1, 2]) is None

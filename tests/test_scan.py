@@ -272,6 +272,34 @@ class TestEvaluateInstance:
         assert detail == "chi = 4 <= 6 (Kempe-chain witness, Delta lower bound)"
         assert "parity" not in detail
 
+    def test_h10_detail_names_the_tait_certificate(self):
+        recipe = GenRecipe(inserts=(3,), subdivisions=(0,), replicates=1)
+        [(iid, blob)] = generate_corpus(recipe)
+        rec = evaluate_instance(iid, blob, ("H10", "H13"), 2000, 60, 60)
+        assert rec.bounds["greedy_vertex"] == 4
+        assert (rec.gamma["value"], rec.nodes["gamma"]) == (3, 0)
+        assert rec.hypotheses["H10"] == {
+            "verdict": "pass",
+            "detail": "gamma = 3 <= 3 (Tait face-coloring witness, odd-cycle lower bound)",
+        }
+        assert rec.hypotheses["H13"]["detail"].endswith(
+            "odd-cycle lower bound) (H13 restates H10)"
+        )
+        # Without rotation lines there are no faces, and the search decides.
+        bare = _blob(parse_graph_file(blob)[0])
+        rec = evaluate_instance(iid, bare, ("H10",), 2000, 60, 60)
+        assert rec.gamma["value"] == 3 and rec.nodes["gamma"] > 0
+        assert rec.hypotheses["H10"]["detail"] == "gamma = 3 <= 3"
+
+    def test_h10_detail_names_the_odd_cycle(self):
+        c5 = UndirectedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+        rec = evaluate_instance("c5", _blob(c5), ("H10",), 2000, 60, 60)
+        assert rec.nodes["gamma"] == 0
+        assert rec.hypotheses["H10"] == {
+            "verdict": "pass",
+            "detail": "gamma = 3 <= 3 (odd-cycle lower bound 3)",
+        }
+
     def test_formerly_indeterminate_instance_is_exact(self):
         # Refuting a 4-edge-coloring used up the whole node budget here and
         # left chi in [4, 5]; with one degree-2 vertex the lemma settles it.
@@ -648,6 +676,62 @@ class TestBuildOnce:
         config = ScanConfig(source_files=(str(good), str(bad)), timeout_ms=1000)
         with pytest.raises(ScanInputError, match="^b.conj: line 4: edge endpoints"):
             run_hypothesis_scan(config)
+
+
+def _count_calls(monkeypatch, owner, name, before=None):
+    """Count the calls of ``owner.name``, also at every conjtri module-global
+    name that holds the same function; ``before`` runs ahead of each."""
+    fn = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if before is not None:
+            before()
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("conjtri") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestEmbeddingOnce:
+    """Each embedding is traced once and each rotation checked at most once
+    per instance, and the gamma stage of a generated scan runs no search."""
+
+    def test_generated_scan(self, monkeypatch, tmp_path):
+        from conjtri import core, graphs
+
+        in_gamma = [False]
+
+        def no_search_in_gamma():
+            assert not in_gamma[0], "core.decide_coloring ran under the gamma stage"
+
+        traces = _count_calls(monkeypatch, graphs, "faces_and_genus_check")
+        checks = _count_calls(monkeypatch, RotationSystem, "mismatched_vertex")
+        _count_calls(monkeypatch, core, "decide_coloring", before=no_search_in_gamma)
+        gamma_stage = scan_module.chromatic_number
+
+        def gamma(*args, **kwargs):
+            in_gamma[0] = True
+            try:
+                return gamma_stage(*args, **kwargs)
+            finally:
+                in_gamma[0] = False
+
+        monkeypatch.setattr(scan_module, "chromatic_number", gamma)
+        recipe = GenRecipe(inserts=tuple(range(5)), replicates=2, base_seed=3)
+        report = run_hypothesis_scan(
+            ScanConfig(recipe=recipe, timeout_ms=2000, counterexample_dir=str(tmp_path))
+        )
+        n = len(report.instances)
+        assert n == 40 and all(r.valid for r in report.instances)
+        assert traces[0] == n  # validation's trace; generation traces none
+        assert checks[0] <= n  # the parser's check of the listed rows
+        assert all(r.nodes["gamma"] == 0 for r in report.instances)
+        assert any("Tait" in r.hypotheses["H10"]["detail"] for r in report.instances)
 
 
 class TestReportSerialization:
