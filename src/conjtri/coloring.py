@@ -485,7 +485,8 @@ def kempe_edge_coloring(
         chain, x, c = [], v, a
         while at[x][c]:
             chain.append(at[x][c])
-            x = g.other_endpoint(chain[-1], x)
+            ends = g.edges[chain[-1] - 1]
+            x = ends[0] + ends[1] - x
             c = a + b - c
         if x != u:
             for e in chain:

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .graphs import (
-    Digraph,
     RotationError,
     RotationSystem,
     UndirectedGraph,
     faces_and_genus_check,
-    rotation_from_oriented_faces,
 )
 
 ALLOWED_DEGREES = (2, 4)
@@ -105,7 +103,6 @@ class EulerCircuit:
 @dataclass(frozen=True)
 class OrientedConjugated:
     base: ConjugatedTriangulation
-    arcs: Digraph
     arc_of_edge: dict[int, tuple[int, int]]  # edge id -> (tail, head)
 
 
@@ -197,135 +194,187 @@ def euler_circuit(
     """Hierholzer traversal; ties broken by always leaving a vertex along the
     smallest unused edge id, so the circuit is reproducible."""
     g = h.graph if isinstance(h, ConjugatedTriangulation) else h
-    odd = [v for v in range(g.vertex_count) if g.degrees[v] % 2]
+    degrees = g.degrees
+    odd = [v for v, d in enumerate(degrees) if d % 2]
     if odd:
         raise OddDegreeError(odd)
-    comps = [c for c in g.components if len(c) > 1 or g.degrees[c[0]] > 0]
+    comps = [c for c in g.components if len(c) > 1 or degrees[c[0]] > 0]
     if len(comps) > 1:
         raise DisconnectedError(comps)
     if g.edge_count == 0:
         return EulerCircuit((0,) if g.vertex_count else (), ())
 
+    edges = g.edges
     unused: list[list[int]] = [list(reversed(ids)) for ids in g.incident_edge_ids]
     used = [False] * (g.edge_count + 1)
-    start = comps[0][0]
-
-    stack: list[tuple[int, int]] = [(start, 0)]  # (vertex, edge used to arrive)
-    path: list[tuple[int, int]] = []
+    # The walk's vertices and the edges it arrived by, in two parallel stacks.
+    stack, arrived_by = [comps[0][0]], [0]
+    path: list[int] = []
+    path_edges: list[int] = []
     while stack:
-        v, _ = stack[-1]
-        while unused[v] and used[unused[v][-1]]:
-            unused[v].pop()
-        if unused[v]:
-            eid = unused[v].pop()
+        v = stack[-1]
+        rest = unused[v]
+        while rest and used[rest[-1]]:
+            rest.pop()
+        if rest:
+            eid = rest.pop()
             used[eid] = True
-            stack.append((g.other_endpoint(eid, v), eid))
+            a, b = edges[eid - 1]
+            stack.append(a + b - v)
+            arrived_by.append(eid)
         else:
             path.append(stack.pop())
+            path_edges.append(arrived_by.pop())
     path.reverse()
-
-    vertices = tuple(v for v, _ in path)
-    edge_ids = tuple(e for _, e in path[1:])
-    return EulerCircuit(vertices, edge_ids)
+    path_edges.reverse()
+    return EulerCircuit(tuple(path), tuple(path_edges[1:]))
 
 
 def orient_along_circuit(
     h: ConjugatedTriangulation, c: EulerCircuit
 ) -> OrientedConjugated:
-    """Direct every edge in the traversal direction of the circuit."""
+    """Direct every edge in the traversal direction of the circuit.  Each
+    step is checked against the graph: a known edge id, joining the step's
+    tail and head (compared with the edge's stored ``(min, max)`` form),
+    and not traversed before."""
     g = h.graph
-    if c.length != g.edge_count or not c.vertices or c.vertices[0] != c.vertices[-1]:
+    edges, m = g.edges, g.edge_count
+    vertices = c.vertices
+    if c.length != m or not vertices or vertices[0] != vertices[-1]:
         raise CircuitMismatchError("circuit does not cover this graph")
     arc_of_edge: dict[int, tuple[int, int]] = {}
-    for i, eid in enumerate(c.edge_ids):
-        tail, head = c.vertices[i], c.vertices[i + 1]
-        if not 1 <= eid <= g.edge_count:
+    for eid, tail, head in zip(c.edge_ids, vertices, vertices[1:]):
+        if not 1 <= eid <= m:
             raise CircuitMismatchError(f"unknown edge id {eid}")
-        if {tail, head} != set(g.edge_by_id(eid)):
+        if edges[eid - 1] != ((tail, head) if tail < head else (head, tail)):
             raise CircuitMismatchError(f"edge {eid} does not join {tail} and {head}")
         if eid in arc_of_edge:
             raise CircuitMismatchError(f"edge {eid} traversed twice")
         arc_of_edge[eid] = (tail, head)
-    arcs = Digraph(
-        g.vertex_count, [arc_of_edge[eid] for eid in range(1, g.edge_count + 1)]
-    )
-    return OrientedConjugated(h, arcs, arc_of_edge)
+    return OrientedConjugated(h, arc_of_edge)
 
 
 def generate_stacked_triangulation(
     inserts: int, seed: int
-) -> tuple[UndirectedGraph, RotationSystem, list[tuple[int, int, int]]]:
+) -> tuple[UndirectedGraph, list[tuple[int, int, int]]]:
     """Grow a planar triangulation from a triangle by repeatedly placing a
     new vertex inside a uniformly chosen face and joining it to the three
     corners.  Both sides of the starting triangle count as faces, so the
-    outer face may be subdivided too.  Returns the graph, its rotation and
-    its faces as oriented vertex triples, the faces the rotation traces."""
+    outer face may be subdivided too.  Returns the graph and its faces as
+    oriented vertex triples, the faces of its planar embedding.  Each new
+    vertex exceeds every old one, so its three edges are stored as
+    ``(min, max)`` and are new: the graph is built without a check."""
     if inserts < 0:
         raise ValueError("inserts must be non-negative")
     rng = random.Random(seed)
     edges = [(0, 1), (1, 2), (0, 2)]
-    edge_set = {frozenset(e) for e in edges}
+    degrees = [2, 2, 2]
     faces = [(0, 1, 2), (2, 1, 0)]
-    n = 3
-    for _ in range(inserts):
-        idx = rng.randrange(len(faces))
-        a, b, c = faces.pop(idx)
-        w = n
-        n += 1
-        for x in (a, b, c):
-            if frozenset((x, w)) not in edge_set:
-                edge_set.add(frozenset((x, w)))
-                edges.append((x, w))
-        faces.extend([(a, b, w), (b, c, w), (c, a, w)])
-    g = UndirectedGraph(n, edges)
-    rot = rotation_from_oriented_faces(g, faces)
-    return g, rot, faces
+    for w in range(3, 3 + inserts):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += ((a, w), (b, w), (c, w))
+        degrees[a] += 1
+        degrees[b] += 1
+        degrees[c] += 1
+        degrees.append(3)
+        faces += ((a, b, w), (b, c, w), (c, a, w))
+    return UndirectedGraph.from_trusted_edges(edges, degrees), faces
 
 
 def medial_graph(
-    t: UndirectedGraph, rot: RotationSystem, faces: Sequence[Sequence[int]]
+    t: UndirectedGraph, faces: Sequence[Sequence[int]]
 ) -> tuple[UndirectedGraph, RotationSystem]:
     """Graph on the edges of a plane graph ``t``; two are adjacent iff they
     are consecutive around a face.  For a cycle the medial is the cycle
     itself; otherwise every vertex of ``t`` must have degree >= 3, which
     rules out digon corners and makes the result simple and 4-regular.
-    ``faces`` are the faces of the planar embedding ``rot`` as oriented
-    vertex cycles, in the form ``rotation_from_oriented_faces`` reads, as
-    ``generate_stacked_triangulation`` returns them.  They are not traced
-    again: only their count is checked against Euler's formula.  The faces
-    and vertex rotations of ``t`` become the faces of the output rotation.
+    ``faces`` are the faces of a planar embedding of ``t`` as oriented
+    vertex cycles, as ``generate_stacked_triangulation`` returns them.
+
+    Medial vertex ``x`` stands for the edge ``t.edges[x]``, and each face
+    corner, two consecutive edges of a face, is a medial edge.  Edge ``x``
+    lies on two corners, ``p1 -> x -> n1`` and ``p2 -> x -> n2`` (the edges
+    before and after it around its two faces), and its rotation row is the
+    cycle of medial edges to ``p1, n1, p2, n2``.  The faces are not traced.
+    Cheap checks stand in for a trace, each raising ValueError: every face
+    is non-empty and steps along edges, each edge is traversed once in each
+    direction (so it lies on exactly two corners), Euler's count
+    V - E + F = 2 holds, and each edge has four distinct medial neighbours.
+    They do not prove the faces an embedding: faces whose corners split
+    the edges at a vertex into several cycles of length 3 or more can pass
+    them.  A scan validates the embedding of every instance it evaluates.
     The output does not depend on the order or starting corner of the
-    faces: its edges are sorted and each rotation row starts at its
-    vertex's smallest edge id."""
+    faces: its edges are sorted and each row starts at its smallest edge
+    id."""
     degs = t.degrees
     if min(degs, default=0) < 2:
         raise ValueError("medial graph requires minimum degree 2")
     if all(d == 2 for d in degs):
-        return UndirectedGraph(t.vertex_count, t.edges), rot
+        return t, RotationSystem.from_trusted_orders(t.incident_edge_ids)
     if min(degs) < 3:
         raise ValueError(
             "medial graph implemented for cycles or minimum degree 3 only"
         )
-    if t.vertex_count - t.edge_count + len(faces) != 2:
+    m = t.edge_count
+    # Dart 2x runs along edge x from its smaller end, dart 2x + 1 back.
+    dart_of = {}
+    for i, (u, v) in enumerate(t.edges):
+        dart_of[u, v] = 2 * i
+        dart_of[v, u] = 2 * i + 1
+    after = [-1] * (2 * m)  # the next dart around the dart's face
+    for face in faces:
+        try:
+            darts = [dart_of[face[i - 1], x] for i, x in enumerate(face)]
+        except KeyError:
+            raise ValueError(f"face {tuple(face)} steps along a non-edge") from None
+        if not darts:
+            raise ValueError("a face is empty")
+        prev = darts[-1]
+        for d in darts:
+            if after[prev] >= 0:
+                raise ValueError(
+                    f"edge {t.edges[prev >> 1]} is traversed twice in one direction"
+                )
+            after[prev] = d
+            prev = d
+    if -1 in after:
+        x = after.index(-1) >> 1
+        raise ValueError(f"edge {t.edges[x]} is not on exactly two face corners")
+    if t.vertex_count - m + len(faces) != 2:
         raise ValueError("faces do not form a planar embedding")
 
-    edge_id = {}
-    for i, (u, v) in enumerate(t.edges):
-        edge_id[u, v] = edge_id[v, u] = i
-    face_cycles = []  # medial faces from t-faces
-    medial_edges = set()
-    for face in faces:
-        cyc = tuple(edge_id[face[i - 1], x] for i, x in enumerate(face))
-        face_cycles.append(cyc)
-        for i, x in enumerate(cyc):
-            y = cyc[i - 1]
-            medial_edges.add((x, y) if x < y else (y, x))
-
-    # medial faces from t-vertices, opposite orientation
-    vertex_cycles = [tuple(eid - 1 for eid in reversed(order)) for order in rot.orders]
-
-    mg = UndirectedGraph(t.edge_count, sorted(medial_edges))
-    return mg, rotation_from_oriented_faces(mg, face_cycles + vertex_cycles)
+    # The corner from dart d to after[d] is the medial edge key[d] =
+    # lo * m + hi; sorting the keys numbers the medial edges.  A loop or a
+    # repeated key is an edge with fewer than four distinct neighbours.
+    before = [0] * (2 * m)
+    key = []
+    for d, nxt in enumerate(after):
+        before[nxt] = d
+        x, y = d >> 1, nxt >> 1
+        if x == y:
+            raise ValueError(
+                f"edge {t.edges[x]} does not have four distinct medial neighbours"
+            )
+        key.append(x * m + y if x < y else y * m + x)
+    rank = [0] * (2 * m)
+    edges = []
+    for d in sorted(range(2 * m), key=key.__getitem__):
+        lo, hi = divmod(key[d], m)
+        if edges and edges[-1] == (lo, hi):
+            raise ValueError(
+                f"edge {t.edges[lo]} does not have four distinct medial neighbours"
+            )
+        edges.append((lo, hi))
+        rank[d] = len(edges)
+    orders = []
+    for d in range(0, 2 * m, 2):
+        row = [rank[before[d]], rank[d], rank[before[d + 1]], rank[d + 1]]
+        i = row.index(min(row))
+        orders.append(tuple(row[i:] + row[:i]))
+    return (
+        UndirectedGraph.from_trusted_edges(edges, [4] * m),
+        RotationSystem.from_trusted_orders(orders),
+    )
 
 
 def subdivide_edges(
@@ -333,45 +382,41 @@ def subdivide_edges(
 ) -> tuple[UndirectedGraph, RotationSystem]:
     """Replace ``count`` randomly chosen distinct edges of ``g`` by length-2
     paths, and carry the rotation ``rot`` over to the result.  New vertices
-    get degree 2; old degrees and faces are unchanged.  The result is not
-    validated here; a scan validates every instance it evaluates."""
+    get degree 2; old degrees and faces are unchanged.  Each new vertex
+    exceeds every old one, so the new edges are stored as ``(min, max)``
+    and the graph is built without a check.  The result is not validated
+    here; a scan validates every instance it evaluates."""
     if count < 0:
         raise ValueError("count must be non-negative")
     if count > g.edge_count:
         raise ValueError("cannot subdivide more edges than exist")
-    rng = random.Random(seed)
-    chosen = set(rng.sample(range(g.edge_count), count))
+    if not count:
+        return g, rot
+    chosen = set(random.Random(seed).sample(range(g.edge_count), count))
 
-    n = g.vertex_count
+    n, edges = g.vertex_count, g.edges
     new_edges = []
-    replacement: dict[int, tuple[int, int, int]] = {}  # old eid -> (w, eid_uw, eid_wv)
-    for idx, (u, v) in enumerate(g.edges):
-        old_eid = idx + 1
+    # Old edge id -> new id of its part at its smaller / larger end.
+    low_id, high_id = [0], [0]
+    new_rows = []
+    for idx, e in enumerate(edges):
         if idx in chosen:
-            w = n
-            n += 1
-            new_edges.append((u, w))
-            eid_uw = len(new_edges)
-            new_edges.append((w, v))
-            eid_wv = len(new_edges)
-            replacement[old_eid] = (w, eid_uw, eid_wv)
+            u, v = e
+            w = n + len(new_rows)
+            k = len(new_edges) + 1
+            new_edges += ((u, w), (v, w))
+            low_id.append(k)
+            high_id.append(k + 1)
+            new_rows.append((k, k + 1))
         else:
-            new_edges.append((u, v))
-            replacement[old_eid] = (-1, len(new_edges), len(new_edges))
-
-    orders = []
-    for v in range(g.vertex_count):
-        row = []
-        for eid in rot.orders[v]:
-            w, eid_uw, eid_wv = replacement[eid]
-            if w < 0:
-                row.append(eid_uw)
-            else:
-                u0, _ = g.edge_by_id(eid)
-                row.append(eid_uw if v == u0 else eid_wv)
-        orders.append(tuple(row))
-    for eid in sorted(replacement):
-        w, eid_uw, eid_wv = replacement[eid]
-        if w >= 0:
-            orders.append((eid_uw, eid_wv))
-    return UndirectedGraph(n, new_edges), RotationSystem(orders)
+            new_edges.append(e)
+            low_id.append(len(new_edges))
+            high_id.append(len(new_edges))
+    orders = [
+        tuple([low_id[e] if edges[e - 1][0] == v else high_id[e] for e in row])
+        for v, row in enumerate(rot.orders)
+    ]
+    return (
+        UndirectedGraph.from_trusted_edges(new_edges, list(g.degrees) + [2] * count),
+        RotationSystem.from_trusted_orders(orders + new_rows),
+    )

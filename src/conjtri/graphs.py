@@ -291,6 +291,15 @@ class RotationSystem:
         orders: list[tuple[int, ...]] = [()] * vertex_count
         for v, row in rows.items():
             orders[v] = row
+        return cls.from_trusted_orders(orders)
+
+    @classmethod
+    def from_trusted_orders(
+        cls, orders: Sequence[tuple[int, ...]]
+    ) -> "RotationSystem":
+        """The rotation with these rows, tuples of ints, taken as they are.
+        Callers build them from a graph's edge ids, so the ``int`` pass of
+        the constructor is skipped."""
         rot = object.__new__(cls)
         object.__setattr__(rot, "orders", tuple(orders))
         return rot
@@ -515,54 +524,3 @@ def _raise_mismatch(v: int) -> None:
     raise RotationError(
         f"rotation at vertex {v} is not a permutation of its incident edges"
     )
-
-
-def rotation_from_oriented_faces(
-    g: UndirectedGraph, faces: Iterable[tuple[int, ...]]
-) -> RotationSystem:
-    """Build the rotation system whose face tracing reproduces ``faces``.
-
-    Each face is a cyclic vertex sequence; consecutive vertices must be
-    adjacent in ``g``.  At every corner ``a -> v -> b`` the edge ``vb``
-    becomes the rotation successor of ``va`` at ``v``.  Raises RotationError
-    when the corners do not chain into one cycle per vertex, i.e. when the
-    faces are not a consistent closed embedding.
-    """
-    edge_id = {}
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        edge_id[(u, v)] = eid
-        edge_id[(v, u)] = eid
-
-    succ: list[dict[int, int]] = [dict() for _ in range(g.vertex_count)]
-    for face in faces:
-        k = len(face)
-        for i in range(k):
-            a, v, b = face[i - 1], face[i], face[(i + 1) % k]
-            try:
-                e_in, e_out = edge_id[(a, v)], edge_id[(v, b)]
-            except KeyError as exc:
-                raise RotationError(f"face corner {(a, v, b)} uses a missing edge") from exc
-            if e_in in succ[v]:
-                raise RotationError(f"corner conflict at vertex {v}: edge {e_in} reused")
-            succ[v][e_in] = e_out
-
-    orders = []
-    for v in range(g.vertex_count):
-        incident = g.incident_edge_ids[v]
-        if not incident:
-            orders.append(())
-            continue
-        if set(succ[v]) != set(incident):
-            raise RotationError(f"faces do not cover all corners at vertex {v}")
-        cycle = [incident[0]]
-        while True:
-            nxt = succ[v][cycle[-1]]
-            if nxt == cycle[0]:
-                break
-            if len(cycle) > len(incident):
-                raise RotationError(f"corner chaining does not close at vertex {v}")
-            cycle.append(nxt)
-        if len(cycle) != len(incident):
-            raise RotationError(f"corners at vertex {v} split into several cycles")
-        orders.append(tuple(cycle))
-    return RotationSystem(orders)

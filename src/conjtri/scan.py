@@ -268,8 +268,10 @@ def generate_corpus(recipe: GenRecipe) -> list[tuple[str, bytes]]:
     """Deterministic corpus: one serialized graph file per (inserts,
     subdivisions, replicate) cell, ids stable across runs.  The bytes are
     those ``--input`` reads; ``evaluate_instance`` validates them.  Each
-    triangulation hands its faces to ``medial_graph``, so generation traces
-    no faces, and the rotations it builds are written without a check."""
+    triangulation hands its face triples to ``medial_graph``, which writes
+    the medial's rotation rows from their corners, so generation traces no
+    faces, builds no graph through the checked constructor, and writes the
+    rotations it builds without a check."""
     out = []
     for i in recipe.inserts:
         for s in recipe.subdivisions:

@@ -10,6 +10,7 @@ are feasible.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -337,3 +338,87 @@ def sibling_constraint_edges(n, edges, arcs):
     for group in itertools.chain(out_heads.values(), in_tails.values()):
         out.update(itertools.combinations(sorted(group), 2))
     return n, sorted(out)
+
+
+def rotation_from_oriented_faces(n, edges, faces):
+    """Rotation rows whose face tracing reproduces ``faces``, each row
+    starting at its vertex's smallest edge id.  Each face is a cyclic
+    vertex sequence; at every corner a -> v -> b the edge vb becomes the
+    rotation successor of va at v.  Raises ValueError when the corners do
+    not chain into one cycle per vertex, i.e. when the faces are not a
+    consistent closed embedding."""
+    edge_id = {}
+    incident = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges, start=1):
+        edge_id[u, v] = edge_id[v, u] = eid
+        incident[u].append(eid)
+        incident[v].append(eid)
+    succ = [{} for _ in range(n)]
+    for face in faces:
+        k = len(face)
+        for i in range(k):
+            a, v, b = face[i - 1], face[i], face[(i + 1) % k]
+            if (a, v) not in edge_id or (v, b) not in edge_id:
+                raise ValueError(f"face corner {(a, v, b)} uses a missing edge")
+            e_in = edge_id[a, v]
+            if e_in in succ[v]:
+                raise ValueError(f"corner conflict at vertex {v}: edge {e_in} reused")
+            succ[v][e_in] = edge_id[v, b]
+    rows = []
+    for v in range(n):
+        if not incident[v]:
+            rows.append(())
+            continue
+        if set(succ[v]) != set(incident[v]):
+            raise ValueError(f"faces do not cover all corners at vertex {v}")
+        row = [incident[v][0]]
+        while succ[v][row[-1]] != row[0]:
+            if len(row) > len(incident[v]):
+                raise ValueError(f"corner chaining does not close at vertex {v}")
+            row.append(succ[v][row[-1]])
+        if len(row) != len(incident[v]):
+            raise ValueError(f"corners at vertex {v} split into several cycles")
+        rows.append(tuple(row))
+    return rows
+
+
+def medial_chained(n, edges, faces):
+    """Medial graph of a plane graph whose degrees are all at least 3, by
+    chaining face corners twice, as (vertex count, sorted edge list,
+    rotation rows).  The faces, oriented vertex cycles, are chained into
+    the plane graph's rotation; then each face, as a cycle of edges, and
+    each vertex rotation reversed are chained into the medial's."""
+    orders = rotation_from_oriented_faces(n, edges, faces)
+    edge_index = {}
+    for i, (u, v) in enumerate(edges):
+        edge_index[u, v] = edge_index[v, u] = i
+    face_cycles = [
+        [edge_index[face[i - 1], x] for i, x in enumerate(face)] for face in faces
+    ]
+    vertex_cycles = [[eid - 1 for eid in reversed(order)] for order in orders]
+    medial = sorted(
+        {tuple(sorted((c[i - 1], c[i]))) for c in face_cycles for i in range(len(c))}
+    )
+    m = len(edges)
+    rows = rotation_from_oriented_faces(m, medial, face_cycles + vertex_cycles)
+    return m, medial, rows
+
+
+def subdivide_listed(n, edges, orders, count, seed):
+    """``count`` distinct edges, drawn as ``random.Random(seed).sample``
+    draws them, each replaced by a path through a new vertex numbered in
+    edge order, as (vertex count, edge list, rotation rows).  A new vertex's
+    row lists its edge to the old edge's smaller end first."""
+    chosen = set(random.Random(seed).sample(range(len(edges)), count))
+    out, ids, extra = [], {}, []
+    for idx, (u, v) in enumerate(edges):
+        if idx in chosen:
+            w = n + len(extra)
+            out += [(u, w), (v, w)]
+            ids[idx + 1] = {u: len(out) - 1, v: len(out)}
+            extra.append((len(out) - 1, len(out)))
+        else:
+            out.append((u, v))
+            ids[idx + 1] = {u: len(out), v: len(out)}
+    rows = [tuple(ids[eid][v] for eid in order) for v, order in enumerate(orders)]
+    return n + len(extra), out, rows + extra

@@ -24,7 +24,6 @@ from conjtri.graphs import (
     SizeLimitError,
     UndirectedGraph,
     faces_and_genus_check,
-    rotation_from_oriented_faces,
 )
 from conjtri.scan import GenRecipe, ScanConfig, generate_corpus, run_hypothesis_scan
 from conjtri.coloring import (
@@ -557,7 +556,7 @@ def icosahedron_medial():
         faces += [(0, a, b), (11, d, c), (a, c, b), (b, c, d)]
     edges = {tuple(sorted((f[i - 1], f[i]))) for f in faces for i in range(3)}
     t = UndirectedGraph(12, sorted(edges))
-    ct = validate_conjugated(*medial_graph(t, rotation_from_oriented_faces(t, faces), faces))
+    ct = validate_conjugated(*medial_graph(t, faces))
     assert isinstance(ct, ConjugatedTriangulation)
     return ct
 

@@ -1,5 +1,7 @@
+import re
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,8 +184,10 @@ class TestOrientation:
         ct = require_conjugated(octahedron())
         oriented = orient_along_circuit(ct, euler_circuit(ct))
         assert sorted(oriented.arc_of_edge) == list(range(1, 13))
-        d = oriented.arcs
-        assert d.in_degrees == d.out_degrees  # balanced by construction
+        arcs = oriented.arc_of_edge.values()
+        out_degrees = Counter(tail for tail, _ in arcs)
+        in_degrees = Counter(head for _, head in arcs)
+        assert in_degrees == out_degrees  # balanced by construction
 
     def test_arcs_match_graph_edges(self):
         ct = require_conjugated(octahedron())
@@ -197,28 +201,70 @@ class TestOrientation:
         with pytest.raises(CircuitMismatchError):
             orient_along_circuit(ct, bogus)
 
+    # Each circuit below has the graph's length, so only the per-edge
+    # checks can refuse it.
+
+    @pytest.mark.parametrize("eid", [0, 13, -1])
+    def test_unknown_edge_id_rejected(self, eid):
+        ct = require_conjugated(octahedron())
+        c = euler_circuit(ct)
+        ids = list(c.edge_ids)
+        ids[3] = eid
+        with pytest.raises(CircuitMismatchError, match=f"unknown edge id {eid}$"):
+            orient_along_circuit(ct, EulerCircuit(c.vertices, tuple(ids)))
+
+    def test_edge_off_its_step_rejected(self):
+        ct = require_conjugated(octahedron())
+        c = euler_circuit(ct)
+        ids = list(c.edge_ids)
+        ids[0], ids[1] = ids[1], ids[0]
+        # The first step now carries the circuit's second edge, which joins
+        # walk vertices 1 and 2, never 0 and 1: in a simple graph the walk
+        # cannot return along its first edge.
+        tail, head = c.vertices[:2]
+        with pytest.raises(
+            CircuitMismatchError, match=f"edge {ids[0]} does not join {tail} and {head}"
+        ):
+            orient_along_circuit(ct, EulerCircuit(c.vertices, tuple(ids)))
+
+    def test_edge_traversed_twice_rejected(self):
+        # Back and forth along edge 1 = (0, 1): every step joins its tail
+        # and head, and the walk closes after 12 steps.
+        ct = require_conjugated(octahedron())
+        bogus = EulerCircuit(vertices=(0, 1) * 6 + (0,), edge_ids=(1,) * 12)
+        with pytest.raises(CircuitMismatchError, match="edge 1 traversed twice"):
+            orient_along_circuit(ct, bogus)
+
+    def test_reversed_circuit_orients_every_edge_backwards(self):
+        ct = require_conjugated(octahedron())
+        c = euler_circuit(ct)
+        back = EulerCircuit(c.vertices[::-1], c.edge_ids[::-1])
+        forward = orient_along_circuit(ct, c).arc_of_edge
+        backward = orient_along_circuit(ct, back).arc_of_edge
+        assert {eid: (h, t) for eid, (t, h) in forward.items()} == backward
+
 
 class TestStackedTriangulation:
     def test_zero_inserts_is_triangle(self):
-        t, _, _ = generate_stacked_triangulation(0, seed=1)
+        t, _ = generate_stacked_triangulation(0, seed=1)
         assert t.vertex_count == 3
         assert t.edge_count == 3
 
     def test_counts_grow_linearly(self):
-        t, _, _ = generate_stacked_triangulation(5, seed=2)
+        t, _ = generate_stacked_triangulation(5, seed=2)
         assert t.vertex_count == 8
         assert t.edge_count == 18
 
     def test_all_faces_are_triangles(self):
-        t, rot, _ = generate_stacked_triangulation(4, seed=3)
-        faces, ok = faces_and_genus_check(t, rot)
+        t, triples = generate_stacked_triangulation(4, seed=3)
+        faces, ok = faces_and_genus_check(t, chained_rotation(t, triples))
         assert ok
         assert all(len(f) == 3 for f in faces)
 
     @pytest.mark.parametrize("inserts", range(7))
     def test_returned_faces_are_the_traced_faces(self, inserts):
-        t, rot, faces = generate_stacked_triangulation(inserts, seed=inserts)
-        traced, _ = faces_and_genus_check(t, rot)
+        t, faces = generate_stacked_triangulation(inserts, seed=inserts)
+        traced, _ = faces_and_genus_check(t, chained_rotation(t, faces))
 
         def cyclic_forms(cycles):
             # Each cycle from its smallest vertex, keeping its orientation.
@@ -237,6 +283,12 @@ class TestStackedTriangulation:
         b = generate_stacked_triangulation(6, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("inserts", [0, 1, 7])
+    def test_graph_equals_the_checked_build(self, inserts):
+        t, _ = generate_stacked_triangulation(inserts, seed=inserts)
+        checked = UndirectedGraph(t.vertex_count, t.edges)
+        assert (t, t.degrees) == (checked, checked.degrees)
+
     def test_seed_changes_result(self):
         graphs = {generate_stacked_triangulation(6, seed=s)[0].edges for s in range(8)}
         assert len(graphs) > 1
@@ -249,24 +301,25 @@ class TestMedialGraph:
 
     def test_four_regular_and_planar(self):
         for seed in (1, 5, 9):
-            t, rot, faces = generate_stacked_triangulation(4, seed=seed)
-            mg, mrot = medial_graph(t, rot, faces)
+            t, faces = generate_stacked_triangulation(4, seed=seed)
+            mg, mrot = medial_graph(t, faces)
             assert set(mg.degrees) == {4}
             assert mg.vertex_count == t.edge_count
             _, ok = faces_and_genus_check(mg, mrot)
             assert ok
+            checked = UndirectedGraph(mg.vertex_count, mg.edges)
+            assert (mg, mg.degrees) == (checked, checked.degrees)
 
     def test_cycle_returns_itself(self, named_graphs):
-        rot = RotationSystem([(1, 4), (1, 2), (2, 3), (3, 4)])
         faces = [(0, 1, 2, 3), (3, 2, 1, 0)]
-        mg, mrot = medial_graph(named_graphs["c4"], rot, faces)
+        mg, mrot = medial_graph(named_graphs["c4"], faces)
         assert mg == named_graphs["c4"]
+        assert mrot.orders == ((1, 4), (1, 2), (2, 3), (3, 4))
 
     def test_low_degree_non_cycle_rejected(self, named_graphs):
         # P4 has degree-1 endpoints: neither a cycle nor min degree 3
-        rot = RotationSystem([(1,), (1, 2), (2, 3), (3,)])
         with pytest.raises(ValueError):
-            medial_graph(named_graphs["path4"], rot, [(0, 1, 2, 3, 2, 1)])
+            medial_graph(named_graphs["path4"], [(0, 1, 2, 3, 2, 1)])
 
     def test_unverified_embedding_rejected(self, named_graphs):
         # The two faces of a toroidal K4 break Euler's formula for the plane.
@@ -276,19 +329,88 @@ class TestMedialGraph:
         assert not ok and len(faces) == 2
         cycles = [tuple(tail for tail, _, _ in f) for f in faces]
         with pytest.raises(ValueError, match="planar"):
-            medial_graph(k4, twisted, cycles)
+            medial_graph(k4, cycles)
+
+    def test_edge_on_one_corner_rejected(self):
+        # Without the last face, its edges lie on one corner each; the
+        # first of them in edge order is named.
+        t, faces = generate_stacked_triangulation(3, seed=4)
+        a, b, c = faces[-1]
+        first = min(t.edges.index(tuple(sorted(e))) for e in ((a, b), (b, c), (c, a)))
+        message = f"edge {t.edges[first]} is not on exactly two face corners"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            medial_graph(t, faces[:-1])
+
+    @pytest.mark.parametrize("faces_of", [
+        lambda faces: faces + faces,
+        lambda faces: faces[:-1] + faces[:1],
+        lambda faces: [faces[0]] * len(faces),
+    ])
+    def test_duplicated_faces_rejected(self, faces_of):
+        # The first face's darts are checked from its last step, v to w.
+        t, faces = generate_stacked_triangulation(3, seed=4)
+        _, v, w = faces[0]
+        edge = tuple(sorted((v, w)))
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge} is traversed twice")):
+            medial_graph(t, faces_of(faces))
+
+    def test_face_along_a_non_edge_rejected(self, named_graphs):
+        # The octahedron has no edge between antipodes 0 and 5.
+        g = named_graphs["octahedron"]
+        with pytest.raises(ValueError, match=re.escape("face (0, 1, 5) steps along a non-edge")):
+            medial_graph(g, [(0, 1, 5)] * 8)
+
+    def test_empty_face_rejected(self):
+        t, faces = generate_stacked_triangulation(3, seed=4)
+        with pytest.raises(ValueError, match="a face is empty"):
+            medial_graph(t, faces[:-1] + [()])
+
+    def test_face_turning_back_rejected(self, named_graphs):
+        # Each dart of K4 lies on one corner and V - E + F = 2, but the
+        # digon (2, 3) turns back at both ends, so edge (2, 3) would be its
+        # own medial neighbour.
+        k4 = named_graphs["k4"]
+        faces = [(0, 1, 2), (0, 2, 1, 3), (0, 3, 1), (2, 3)]
+        with pytest.raises(ValueError, match=r"edge \(2, 3\) does not have four distinct"):
+            medial_graph(k4, faces)
+
+    def test_repeated_neighbour_rejected(self):
+        # Two copies of K4 (vertices 2..5 and 6..9), each with vertex 0
+        # joined to two of its vertices and vertex 1 to the other two,
+        # glued at 0 and 1, with the faces of each copy's own plane
+        # embedding.  Every dart lies on one corner and V - E + F =
+        # 10 - 20 + 12 = 2, but the corners at 0 split its edges into two
+        # cycles of two, so edge (0, 2) would meet edge (0, 3) twice.
+        faces = [
+            (2, 4, 3), (2, 5, 4), (2, 0, 3, 5), (2, 3, 0), (3, 4, 1, 5), (4, 5, 1),
+            (6, 8, 7), (6, 9, 8), (6, 0, 7, 9), (6, 7, 0), (7, 8, 1, 9), (8, 9, 1),
+        ]
+        edges = {tuple(sorted((f[i - 1], f[i]))) for f in faces for i in range(len(f))}
+        t = UndirectedGraph(10, sorted(edges))
+        assert set(t.degrees) == {4} and t.edge_count == 20
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) does not have four distinct"):
+            medial_graph(t, faces)
 
     @pytest.mark.parametrize("inserts", range(1, 8))
     def test_given_faces_match_the_traced_oracle(self, inserts):
         for seed in range(4):
-            t, rot, faces = generate_stacked_triangulation(inserts, 31 * inserts + seed)
-            mg, mrot = medial_graph(t, rot, faces)
+            t, faces = generate_stacked_triangulation(inserts, 31 * inserts + seed)
+            mg, mrot = medial_graph(t, faces)
             assert (mg.vertex_count, list(mg.edges), list(mrot.orders)) == (
-                oracles.medial_traced(t.vertex_count, t.edges, rot.orders)
+                oracles.medial_traced(
+                    t.vertex_count, t.edges, chained_rotation(t, faces).orders
+                )
             )
             # Face order and starting corners do not change the result.
             shuffled = [f[1:] + f[:1] for f in reversed(faces)]
-            assert medial_graph(t, rot, shuffled) == (mg, mrot)
+            assert medial_graph(t, shuffled) == (mg, mrot)
+
+
+def chained_rotation(t, faces):
+    """The rotation of ``t`` that its oriented faces chain into."""
+    return RotationSystem(
+        oracles.rotation_from_oriented_faces(t.vertex_count, t.edges, faces)
+    )
 
 
 class TestSubdivision:

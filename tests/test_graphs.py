@@ -17,7 +17,6 @@ from conjtri.graphs import (
     find_triangles,
     is_connected,
     mask_bits,
-    rotation_from_oriented_faces,
 )
 
 
@@ -228,16 +227,19 @@ class TestFaces:
         faces, ok = faces_and_genus_check(g, PLANAR_K4_ROTATION)
         assert ok
         vertex_faces = [tuple(tail for tail, _, _ in face) for face in faces]
-        rebuilt = rotation_from_oriented_faces(g, vertex_faces)
+        rebuilt = RotationSystem(
+            oracles.rotation_from_oriented_faces(4, g.edges, vertex_faces)
+        )
         _, ok2 = faces_and_genus_check(g, rebuilt)
         assert ok2
         for v in range(4):
             assert sorted(rebuilt.orders[v]) == sorted(PLANAR_K4_ROTATION.orders[v])
 
     def test_inconsistent_faces_raise(self, named_graphs):
-        with pytest.raises(RotationError):
-            rotation_from_oriented_faces(
-                named_graphs["triangle"], [(0, 1, 2), (0, 1, 2)]
+        triangle = named_graphs["triangle"]
+        with pytest.raises(ValueError, match="corner conflict"):
+            oracles.rotation_from_oriented_faces(
+                3, triangle.edges, [(0, 1, 2), (0, 1, 2)]
             )
 
 

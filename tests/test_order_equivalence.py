@@ -1,11 +1,13 @@
 """The bucket-queue smallest-last order, the color-class first-fit, the
-single-pass face tracing, and the line graph and sibling-constraint graph
-built from neighbor bitmasks return exactly what the constructions they
-replaced returned: the quadratic minimum scans, the pair enumeration and
-the edge set kept in ``oracles``."""
+single-pass face tracing, the line graph and sibling-constraint graph
+built from neighbor bitmasks, and the medial rows written from face
+corners return exactly what the constructions they replaced returned: the
+quadratic minimum scans, the pair enumeration, the edge set and the corner
+chaining kept in ``oracles``."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -20,13 +22,15 @@ from conjtri.construct import (
     euler_circuit,
     generate_stacked_triangulation,
     line_graph_of,
+    medial_graph,
     orient_along_circuit,
+    subdivide_edges,
     validate_conjugated,
 )
 from conjtri.graphio import parse_graph_file
-from conjtri.graphs import Digraph, RotationSystem, UndirectedGraph, faces_and_genus_check
+from conjtri.graphs import RotationSystem, UndirectedGraph, faces_and_genus_check
 from conjtri.pairs import sibling_constraint_graph
-from conjtri.scan import GenRecipe, generate_corpus
+from conjtri.scan import GenRecipe, _derive_seed, generate_corpus
 
 
 def random_graph(rng, n_max):
@@ -75,7 +79,7 @@ def randomly_oriented(g, rng):
         for eid, (u, v) in enumerate(g.edges, start=1)
     }
     base = ConjugatedTriangulation(g, None, ValidationReport(()))
-    return OrientedConjugated(base, Digraph(g.vertex_count, arc_of_edge.values()), arc_of_edge)
+    return OrientedConjugated(base, arc_of_edge)
 
 
 def assert_same_sibling_graph(oh):
@@ -98,7 +102,10 @@ def generated_cells():
     triangulations the cells are grown from."""
     recipe = GenRecipe(inserts=tuple(range(10)), replicates=2, base_seed=5)
     cells = [parse_graph_file(blob) for _, blob in generate_corpus(recipe)]
-    cells += [generate_stacked_triangulation(i, 100 + i)[:2] for i in range(10)]
+    for i in range(10):
+        t, faces = generate_stacked_triangulation(i, 100 + i)
+        rows = oracles.rotation_from_oriented_faces(t.vertex_count, t.edges, faces)
+        cells.append((t, RotationSystem(rows)))
     return cells
 
 
@@ -173,3 +180,27 @@ class TestSiblingConstraintGraph:
         rng = random.Random(seed)
         g = random_graph(rng, n_max=30)
         assert_same_sibling_graph(randomly_oriented(g, rng))
+
+
+class TestGeneration:
+    def test_recipe_cells_match_the_corner_chaining(self):
+        # The cells of a recipe with inserts 0..10, subdivisions 0..3 and 3
+        # replicates, seeded as generate_corpus seeds them.
+        for i, s, r in itertools.product(range(11), range(4), range(3)):
+            t, faces = generate_stacked_triangulation(i, _derive_seed(2026, i, s, r, 0))
+            mg, mrot = medial_graph(t, faces)
+            got = (mg.vertex_count, list(mg.edges), list(mrot.orders))
+            if i == 0:
+                # The triangle is its own medial, with the rows its faces
+                # chain into.
+                rows = oracles.rotation_from_oriented_faces(3, t.edges, faces)
+                want = (3, list(t.edges), rows)
+            else:
+                want = oracles.medial_chained(t.vertex_count, t.edges, faces)
+            assert got == want
+            sub_seed = _derive_seed(2026, i, s, r, 1)
+            g, rot = subdivide_edges(mg, mrot, s, sub_seed)
+            assert (g.vertex_count, list(g.edges), list(rot.orders)) == (
+                oracles.subdivide_listed(*got, s, sub_seed)
+            )
+            assert g.degrees == UndirectedGraph(g.vertex_count, g.edges).degrees

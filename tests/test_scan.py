@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -19,7 +20,7 @@ from conjtri.coloring import (
 )
 from conjtri.construct import ConjugatedTriangulation, validate_conjugated
 from conjtri.graphio import parse_graph_file, serialize_graph_file
-from conjtri.graphs import RotationSystem, UndirectedGraph, degree_profile
+from conjtri.graphs import Digraph, RotationSystem, UndirectedGraph, degree_profile
 from conjtri import scan as scan_module
 from conjtri.scan import (
     GenRecipe,
@@ -183,6 +184,21 @@ class TestCorpus:
         a = generate_corpus(GenRecipe(inserts=(4,), subdivisions=(2,), replicates=2, base_seed=1))
         b = generate_corpus(GenRecipe(inserts=(4,), subdivisions=(2,), replicates=2, base_seed=2))
         assert [blob for _, blob in a] != [blob for _, blob in b]
+
+    def test_generated_bytes_are_pinned(self):
+        # sha256 over every (id, file) pair of a recipe that reaches 10
+        # inserts (66-edge medials), as the corner-chaining construction
+        # wrote them.  A change to generation, the seeds or the file format
+        # moves it.
+        recipe = GenRecipe(
+            inserts=tuple(range(11)), subdivisions=(0, 1, 2, 3), replicates=3
+        )
+        digest = hashlib.sha256()
+        for iid, blob in generate_corpus(recipe):
+            digest.update(iid.encode() + b"\n" + blob)
+        assert digest.hexdigest() == (
+            "9d94d3a69548fe6b46e174862918969bf6fb8361d9a4edd1906dc4cfd5f31d71"
+        )
 
     def test_replicates_differ_within_a_cell(self):
         corpus = generate_corpus(
@@ -699,7 +715,8 @@ def _count_calls(monkeypatch, owner, name, before=None):
 
 class TestEmbeddingOnce:
     """Each embedding is traced once and each rotation checked at most once
-    per instance, and the gamma stage of a generated scan runs no search."""
+    per instance, generation builds its graphs and rotations from its own
+    face corners, and the gamma stage of a generated scan runs no search."""
 
     def test_generated_scan(self, monkeypatch, tmp_path):
         from conjtri import core, graphs
@@ -711,6 +728,8 @@ class TestEmbeddingOnce:
 
         traces = _count_calls(monkeypatch, graphs, "faces_and_genus_check")
         checks = _count_calls(monkeypatch, RotationSystem, "mismatched_vertex")
+        checked_graphs = _count_calls(monkeypatch, UndirectedGraph, "__init__")
+        digraphs = _count_calls(monkeypatch, Digraph, "__init__")
         _count_calls(monkeypatch, core, "decide_coloring", before=no_search_in_gamma)
         gamma_stage = scan_module.chromatic_number
 
@@ -730,6 +749,15 @@ class TestEmbeddingOnce:
         assert n == 40 and all(r.valid for r in report.instances)
         assert traces[0] == n  # validation's trace; generation traces none
         assert checks[0] <= n  # the parser's check of the listed rows
+        assert checked_graphs[0] == n  # the parser's; generation trusts its own
+        assert digraphs[0] == 0  # the H12 orientation is a dict of arcs
+        # Corner chaining left the package for the test oracles.
+        assert not [
+            name
+            for name, mod in sys.modules.items()
+            if name.startswith("conjtri")
+            and hasattr(mod, "rotation_from_oriented_faces")
+        ]
         assert all(r.nodes["gamma"] == 0 for r in report.instances)
         assert any("Tait" in r.hypotheses["H10"]["detail"] for r in report.instances)
 
