@@ -113,6 +113,9 @@ def decide_coloring(
         return False
 
     found = recurse(uncolored, used_max)
+    # recurse holds itself through its closure cell; clearing the name
+    # frees the search state without waiting for the cycle collector.
+    del recurse
     if aborted:
         return ABORTED, None, nodes
     if found:

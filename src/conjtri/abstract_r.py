@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .graphs import AdjacencyMatrix, Digraph, UndirectedGraph, are_isomorphic
+from .graphs import UndirectedGraph
 from .coloring import chromatic_number
 
 ARC_TOTAL = 6
@@ -29,42 +29,62 @@ _D4_PERMUTATIONS = tuple(
 
 
 @dataclass(frozen=True)
-class AbstractDigraph:
-    """A candidate color-class digraph together with its 0/1 matrix."""
+class AdjacencyMatrix:
+    """A candidate color-class digraph as its square 0/1 matrix with zero
+    diagonal: entry ``(i, j)`` is 1 iff there is an arc from ``i`` to ``j``.
+    Row sums are out-degrees and column sums in-degrees."""
 
-    digraph: Digraph
-    matrix: AdjacencyMatrix
+    entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        k = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != k:
+                raise ValueError("matrix must be square")
+            for j, x in enumerate(row):
+                if x not in (0, 1):
+                    raise ValueError("entries must be 0 or 1")
+                if i == j and x:
+                    raise ValueError("diagonal must be zero")
+        object.__setattr__(self, "entries", rows)
 
     @property
-    def k(self) -> int:
-        return self.matrix.order
+    def order(self) -> int:
+        return len(self.entries)
 
-    @classmethod
-    def from_matrix(cls, matrix: AdjacencyMatrix) -> "AbstractDigraph":
-        return cls(digraph=matrix.to_digraph(), matrix=matrix)
+    @property
+    def row_sums(self) -> tuple[int, ...]:
+        return tuple(sum(row) for row in self.entries)
+
+    @property
+    def col_sums(self) -> tuple[int, ...]:
+        return tuple(sum(row[j] for row in self.entries) for j in range(self.order))
+
+    @property
+    def total(self) -> int:
+        return sum(self.row_sums)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The arcs ``(i, j)`` in row-major order."""
+        return tuple(
+            (i, j) for i, row in enumerate(self.entries) for j, x in enumerate(row) if x
+        )
 
     def total_degrees(self) -> tuple[int, ...]:
-        d = self.digraph
-        return tuple(
-            d.in_degrees[v] + d.out_degrees[v] for v in range(self.k)
-        )
+        return tuple(r + c for r, c in zip(self.row_sums, self.col_sums))
 
     def underlying_simple_graph(self) -> UndirectedGraph:
         """Forget orientation and multiplicity."""
-        edges = {
-            (min(u, v), max(u, v))
-            for i, row in enumerate(self.matrix.entries)
-            for j, x in enumerate(row)
-            if x
-            for u, v in ((i, j),)
-        }
-        return UndirectedGraph(self.k, sorted(edges))
+        edges = {(min(u, v), max(u, v)) for u, v in self.arcs}
+        return UndirectedGraph(self.order, sorted(edges))
 
     def arc_conflict_graph(self) -> UndirectedGraph:
         """Graph on the arcs; two arcs conflict iff they touch a common
         vertex.  Coloring it properly is coloring the arcs as edges of the
         underlying multigraph."""
-        arcs = self.digraph.arcs
+        arcs = self.arcs
         m = len(arcs)
         edges = []
         for i in range(m):
@@ -72,6 +92,17 @@ class AbstractDigraph:
                 if set(arcs[i]) & set(arcs[j]):
                     edges.append((i, j))
         return UndirectedGraph(m, edges)
+
+
+def canonical_form(m: AdjacencyMatrix) -> tuple[tuple[int, ...], ...]:
+    """The least of the k! relabellings of the matrix, so two matrices are
+    isomorphic as digraphs iff their forms are equal."""
+    idx = range(m.order)
+    e = m.entries
+    return min(
+        tuple(tuple(e[p[i]][p[j]] for j in idx) for i in idx)
+        for p in itertools.permutations(idx)
+    )
 
 
 @dataclass(frozen=True)
@@ -101,68 +132,50 @@ class RequirementReport:
         return tuple(r.name for r in self.requirements if not r.ok)
 
 
-def _weakly_connected_support(d: Digraph) -> bool:
-    """True iff all arc-touching vertices lie in one undirected component."""
-    support = {v for arc in d.arcs for v in arc}
-    if not support:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in support}
-    for u, v in d.arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-    start = min(support)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == support
+def _weakly_connected_support(m: AdjacencyMatrix) -> bool:
+    """True iff all arc-touching vertices lie in one undirected component,
+    that is, at most one component of the underlying graph has an edge."""
+    components = m.underlying_simple_graph().components
+    return sum(1 for c in components if len(c) > 1) <= 1
 
 
-def directed_girth(d: Digraph) -> Optional[int]:
+def directed_girth(m: AdjacencyMatrix) -> Optional[int]:
     """Length of the shortest directed cycle, or None if acyclic."""
-    n = d.vertex_count
+    succ = [[j for j, x in enumerate(row) if x] for row in m.entries]
     best: Optional[int] = None
-    for s in range(n):
+    for s in range(m.order):
         dist = {s: 0}
         frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
-                for w in d.successors[u]:
+                for w in succ[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
             frontier = nxt
-        for u, v in d.arcs:
-            if v == s and u in dist:
+        for u, row in enumerate(m.entries):
+            if row[s] and u in dist:
                 length = dist[u] + 1
                 if best is None or length < best:
                     best = length
     return best
 
 
-def find_directed_triangle(d: Digraph) -> Optional[tuple[int, int, int]]:
-    succ = d.successors
-    for u in range(d.vertex_count):
-        for v in succ[u]:
-            for w in succ[v]:
-                if w != u and u in succ[w]:
-                    return (u, v, w)
+def find_directed_triangle(m: AdjacencyMatrix) -> Optional[tuple[int, int, int]]:
+    e = m.entries
+    for u, v, w in itertools.permutations(range(m.order), 3):
+        if e[u][v] and e[v][w] and e[w][u]:
+            return (u, v, w)
     return None
 
 
-def check_r_requirements(ad: AbstractDigraph) -> RequirementReport:
+def check_r_requirements(m: AdjacencyMatrix) -> RequirementReport:
     """Evaluate the five structural requirements independently.
 
     Every verdict carries evidence so a failing candidate explains itself.
     """
-    d = ad.digraph
-    m = ad.matrix
-    k = ad.k
+    k = m.order
     if k < 1:
         raise ValueError("the abstract graph needs at least one vertex")
 
@@ -173,10 +186,9 @@ def check_r_requirements(ad: AbstractDigraph) -> RequirementReport:
         f"arc total {total}, required {ARC_TOTAL}",
     )
 
-    unbalanced = [
-        v for v in range(k) if d.in_degrees[v] != d.out_degrees[v]
-    ]
-    connected = _weakly_connected_support(d)
+    rows, cols = m.row_sums, m.col_sums
+    unbalanced = [v for v in range(k) if cols[v] != rows[v]]
+    connected = _weakly_connected_support(m)
     if unbalanced:
         ev = f"in-degree != out-degree at vertices {unbalanced}"
     elif not connected:
@@ -185,21 +197,20 @@ def check_r_requirements(ad: AbstractDigraph) -> RequirementReport:
         ev = "balanced and connected on its support"
     r2 = Requirement("r2_euler_circuit", not unbalanced and connected, ev)
 
-    triangle = find_directed_triangle(d)
+    triangle = find_directed_triangle(m)
     r3 = Requirement(
         "r3_directed_triangle",
         triangle is not None,
         f"directed 3-cycle {triangle}" if triangle else "no directed 3-cycle",
     )
 
-    rows, cols = m.row_sums, m.col_sums
     r4 = Requirement(
         "r4_row_col_match",
         rows == cols,
         f"row sums {rows}, column sums {cols}",
     )
 
-    degs = ad.total_degrees()
+    degs = m.total_degrees()
     offenders = [v for v in range(k) if degs[v] % 2 or degs[v] < 4]
     r5 = Requirement(
         "r5_degree_parity",
@@ -210,7 +221,7 @@ def check_r_requirements(ad: AbstractDigraph) -> RequirementReport:
 
     return RequirementReport(
         requirements=(r1, r2, r3, r4, r5),
-        directed_girth=directed_girth(d),
+        directed_girth=directed_girth(m),
     )
 
 
@@ -231,8 +242,8 @@ def matrices_with_total(k: int, total: int = ARC_TOTAL) -> Iterator[AdjacencyMat
 class CandidateEnumeration:
     k: int
     searched: int
-    passing: tuple[AbstractDigraph, ...]  # every survivor, scan order
-    representatives: tuple[AbstractDigraph, ...]  # deduplicated up to iso
+    passing: tuple[AdjacencyMatrix, ...]  # every survivor, scan order
+    representatives: tuple[AdjacencyMatrix, ...]  # first of each iso class
 
 
 def enumerate_r_candidates(k: int) -> CandidateEnumeration:
@@ -245,18 +256,18 @@ def enumerate_r_candidates(k: int) -> CandidateEnumeration:
     if not 1 <= k <= 4:
         raise ValueError("k must be between 1 and 4")
     searched = 0
-    passing: list[AbstractDigraph] = []
+    passing: list[AdjacencyMatrix] = []
     for matrix in matrices_with_total(k):
         searched += 1
-        ad = AbstractDigraph.from_matrix(matrix)
-        if check_r_requirements(ad).passed:
-            passing.append(ad)
-    reps: list[AbstractDigraph] = []
-    for ad in passing:
-        if not any(
-            are_isomorphic(r.digraph, ad.digraph)[0] for r in reps
-        ):
-            reps.append(ad)
+        if check_r_requirements(matrix).passed:
+            passing.append(matrix)
+    forms: set[tuple[tuple[int, ...], ...]] = set()
+    reps: list[AdjacencyMatrix] = []
+    for matrix in passing:
+        form = canonical_form(matrix)
+        if form not in forms:
+            forms.add(form)
+            reps.append(matrix)
     return CandidateEnumeration(
         k=k,
         searched=searched,
@@ -395,19 +406,19 @@ def enumerate_asymmetric_p4() -> AsymmetricCensus:
     )
 
 
-def rho(ad: AbstractDigraph) -> int:
+def rho(m: AdjacencyMatrix) -> int:
     """Largest total degree, multiplicities included."""
-    return max(ad.total_degrees(), default=0)
+    return max(m.total_degrees(), default=0)
 
 
-def gamma_of_candidate(ad: AbstractDigraph) -> int:
+def gamma_of_candidate(m: AdjacencyMatrix) -> int:
     """Exact chromatic number of the underlying simple graph."""
-    return chromatic_number(ad.underlying_simple_graph()).value
+    return chromatic_number(m.underlying_simple_graph()).value
 
 
-def chi_of_candidate(ad: AbstractDigraph) -> int:
+def chi_of_candidate(m: AdjacencyMatrix) -> int:
     """Exact arc chromatic number: vertex-color the arc conflict graph."""
-    return chromatic_number(ad.arc_conflict_graph()).value
+    return chromatic_number(m.arc_conflict_graph()).value
 
 
 def format_matrix(matrix: AdjacencyMatrix) -> str:

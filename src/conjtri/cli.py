@@ -282,14 +282,14 @@ def _cmd_enum_rk(args) -> int:
                 "passing": len(enum.passing),
                 "candidates": [
                     {
-                        "matrix": [list(r) for r in ad.matrix.entries],
-                        "row_sums": list(ad.matrix.row_sums),
-                        "gamma": gamma_of_candidate(ad),
-                        "rho": rho(ad),
-                        "chi": chi_of_candidate(ad),
-                        "pretty": format_matrix(ad.matrix),
+                        "matrix": [list(r) for r in m.entries],
+                        "row_sums": list(m.row_sums),
+                        "gamma": gamma_of_candidate(m),
+                        "rho": rho(m),
+                        "chi": chi_of_candidate(m),
+                        "pretty": format_matrix(m),
                     }
-                    for ad in enum.representatives
+                    for m in enum.representatives
                 ],
             }
         )

@@ -23,18 +23,6 @@ from .graphs import (
 ALLOWED_DEGREES = (2, 4)
 
 
-class OddDegreeError(ValueError):
-    def __init__(self, vertices):
-        self.vertices = tuple(vertices)
-        super().__init__(f"odd degree at vertices {self.vertices}")
-
-
-class DisconnectedError(ValueError):
-    def __init__(self, components):
-        self.components = components
-        super().__init__(f"graph has {len(components)} components")
-
-
 class CircuitMismatchError(ValueError):
     """An Euler circuit does not belong to the graph it is applied to."""
 
@@ -191,24 +179,17 @@ def line_graph_of(g: UndirectedGraph) -> UndirectedGraph:
 def euler_circuit(
     h: Union[ConjugatedTriangulation, UndirectedGraph]
 ) -> EulerCircuit:
-    """Hierholzer traversal; ties broken by always leaving a vertex along the
-    smallest unused edge id, so the circuit is reproducible."""
+    """Hierholzer traversal from vertex 0; ties broken by always leaving a
+    vertex along the smallest unused edge id, so the circuit is
+    reproducible.  The graph must be a validated instance's, or that
+    instance's bare graph: connected, with edges, all degrees even.
+    Validation has proved this, so it is not checked again."""
     g = h.graph if isinstance(h, ConjugatedTriangulation) else h
-    degrees = g.degrees
-    odd = [v for v, d in enumerate(degrees) if d % 2]
-    if odd:
-        raise OddDegreeError(odd)
-    comps = [c for c in g.components if len(c) > 1 or degrees[c[0]] > 0]
-    if len(comps) > 1:
-        raise DisconnectedError(comps)
-    if g.edge_count == 0:
-        return EulerCircuit((0,) if g.vertex_count else (), ())
-
     edges = g.edges
     unused: list[list[int]] = [list(reversed(ids)) for ids in g.incident_edge_ids]
     used = [False] * (g.edge_count + 1)
     # The walk's vertices and the edges it arrived by, in two parallel stacks.
-    stack, arrived_by = [comps[0][0]], [0]
+    stack, arrived_by = [0], [0]
     path: list[int] = []
     path_edges: list[int] = []
     while stack:

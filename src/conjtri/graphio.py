@@ -67,6 +67,8 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
                     raise GraphFormatError(
                         lineno, f"vertex {x} outside 1..{header[0]}"
                     )
+            if u == w:
+                raise GraphFormatError(lineno, f"loop at vertex {u}")
             edges.append((u - 1, w - 1))
             edge_lines.append(lineno)
         elif tag == "r":
@@ -98,8 +100,17 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
 
     try:
         graph = UndirectedGraph(v_count, edges)
-    except ValueError as exc:
-        raise GraphFormatError(edge_lines[-1] if edge_lines else 0, str(exc)) from None
+    except ValueError:
+        # Each line's endpoints were checked above, so an edge repeats.  Only
+        # a refused file pays for finding the line that repeats it.
+        first_line: dict[frozenset[int], int] = {}
+        for lineno, (u, w) in zip(edge_lines, edges):
+            first = first_line.setdefault(frozenset((u, w)), lineno)
+            if first != lineno:
+                raise GraphFormatError(
+                    lineno, f"parallel edge {u + 1} {w + 1}, first at line {first}"
+                ) from None
+        raise
 
     if not rotations:
         return graph, None

@@ -8,7 +8,7 @@ All values are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -147,128 +147,8 @@ class UndirectedGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.incident_edge_ids))
 
-    def edge_by_id(self, eid: int) -> tuple[int, int]:
-        if not 1 <= eid <= len(self.edges):
-            raise ValueError(f"edge id {eid} out of range")
-        return self.edges[eid - 1]
-
-    def other_endpoint(self, eid: int, v: int) -> int:
-        a, b = self.edge_by_id(eid)
-        if v == a:
-            return b
-        if v == b:
-            return a
-        raise ValueError(f"vertex {v} not an endpoint of edge {eid}")
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.masks[u] >> v & 1)
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Simple directed graph: no loops, at most one arc per ordered pair.
-
-    ``arcs[i]`` is the arc with id ``i + 1``.  Opposite arcs ``(u, v)`` and
-    ``(v, u)`` may coexist; they model doubled connections.
-    """
-
-    vertex_count: int
-    arcs: tuple[tuple[int, int], ...]
-
-    def __init__(self, vertex_count: int, arcs: Iterable[tuple[int, int]]):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        seen = set()
-        stored = []
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"arc ({u}, {v}) outside vertex range")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            stored.append((u, v))
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "arcs", tuple(stored))
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
-    @cached_property
-    def out_degrees(self) -> tuple[int, ...]:
-        out = [0] * self.vertex_count
-        for u, _ in self.arcs:
-            out[u] += 1
-        return tuple(out)
-
-    @cached_property
-    def in_degrees(self) -> tuple[int, ...]:
-        inn = [0] * self.vertex_count
-        for _, v in self.arcs:
-            inn[v] += 1
-        return tuple(inn)
-
-    @cached_property
-    def successors(self) -> tuple[frozenset[int], ...]:
-        succ = [set() for _ in range(self.vertex_count)]
-        for u, v in self.arcs:
-            succ[u].add(v)
-        return tuple(frozenset(s) for s in succ)
-
-
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Square 0/1 matrix with zero diagonal."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        k = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise ValueError("matrix must be square")
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                if i == j and x:
-                    raise ValueError("diagonal must be zero")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
-
-    @property
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.entries) for j in range(self.order))
-
-    @property
-    def total(self) -> int:
-        return sum(self.row_sums)
-
-    def to_digraph(self) -> Digraph:
-        arcs = [
-            (i, j)
-            for i in range(self.order)
-            for j in range(self.order)
-            if self.entries[i][j]
-        ]
-        return Digraph(self.order, arcs)
-
-    @classmethod
-    def from_digraph(cls, d: Digraph) -> "AdjacencyMatrix":
-        k = d.vertex_count
-        grid = [[0] * k for _ in range(k)]
-        for u, v in d.arcs:
-            grid[u][v] = 1
-        return cls(grid)
 
 
 @dataclass(frozen=True)
@@ -333,132 +213,8 @@ class RotationSystem:
         return None
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    max_degree: int
-    all_even: bool
-    histogram: dict[int, int] = field(hash=False)
-
-
-def degree_profile(g: UndirectedGraph) -> DegreeProfile:
-    degs = g.degrees
-    hist: dict[int, int] = {}
-    for d in degs:
-        hist[d] = hist.get(d, 0) + 1
-    return DegreeProfile(
-        degrees=degs,
-        max_degree=max(degs, default=0),
-        all_even=all(d % 2 == 0 for d in degs),
-        histogram=hist,
-    )
-
-
 def is_connected(g: UndirectedGraph) -> bool:
     return len(g.components) <= 1
-
-
-def find_triangles(g: UndirectedGraph) -> list[tuple[int, int, int]]:
-    """All 3-cliques as sorted triples, in lexicographic order."""
-    masks = g.masks
-    out = []
-    for u, v in g.edges:
-        for w in mask_bits((masks[u] & masks[v]) >> (v + 1)):
-            out.append((u, v, v + 1 + w))
-    return sorted(out)
-
-
-def _vertex_triangle_counts(g: UndirectedGraph) -> list[int]:
-    counts = [0] * g.vertex_count
-    for a, b, c in find_triangles(g):
-        counts[a] += 1
-        counts[b] += 1
-        counts[c] += 1
-    return counts
-
-
-def are_isomorphic(
-    g1: UndirectedGraph | Digraph,
-    g2: UndirectedGraph | Digraph,
-    max_vertices: int = 10,
-) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Backtracking isomorphism test for small graphs.
-
-    Returns ``(found, mapping)`` where ``mapping[v]`` is the image of vertex
-    ``v`` of ``g1`` in ``g2``.  Both arguments must be the same kind of graph.
-    Raises SizeLimitError above ``max_vertices``.
-    """
-    directed = isinstance(g1, Digraph)
-    if directed != isinstance(g2, Digraph):
-        raise TypeError("cannot compare a directed graph with an undirected one")
-    n = g1.vertex_count
-    if n != g2.vertex_count:
-        return False, None
-    if n > max_vertices:
-        raise SizeLimitError(
-            f"isomorphism search capped at {max_vertices} vertices, got {n}"
-        )
-
-    if directed:
-        if len(g1.arcs) != len(g2.arcs):
-            return False, None
-        inv1 = [(g1.out_degrees[v], g1.in_degrees[v]) for v in range(n)]
-        inv2 = [(g2.out_degrees[v], g2.in_degrees[v]) for v in range(n)]
-        succ1, succ2 = g1.successors, g2.successors
-        pred1 = [frozenset(u for u in range(n) if v in succ1[u]) for v in range(n)]
-        pred2 = [frozenset(u for u in range(n) if v in succ2[u]) for v in range(n)]
-    else:
-        if len(g1.edges) != len(g2.edges):
-            return False, None
-        t1, t2 = _vertex_triangle_counts(g1), _vertex_triangle_counts(g2)
-        inv1 = [(g1.degrees[v], t1[v]) for v in range(n)]
-        inv2 = [(g2.degrees[v], t2[v]) for v in range(n)]
-    if sorted(inv1) != sorted(inv2):
-        return False, None
-
-    # Most-constrained-first: rare invariant classes early, ties by id.
-    class_size: dict = {}
-    for iv in inv1:
-        class_size[iv] = class_size.get(iv, 0) + 1
-    order = sorted(range(n), key=lambda v: (class_size[inv1[v]], v))
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for w in range(n):
-            if used[w] or inv1[v] != inv2[w]:
-                continue
-            ok = True
-            for x in order[:idx]:
-                mx = mapping[x]
-                if directed:
-                    if (x in pred1[v]) != (mx in pred2[w]):
-                        ok = False
-                        break
-                    if (v in pred1[x]) != (w in pred2[mx]):
-                        ok = False
-                        break
-                else:
-                    if (g1.masks[v] >> x & 1) != (g2.masks[w] >> mx & 1):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(idx + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    if extend(0):
-        return True, tuple(mapping)
-    return False, None
 
 
 def faces_and_genus_check(

@@ -25,7 +25,6 @@ from itertools import chain
 from typing import Optional
 
 from . import __version__
-from .graphs import degree_profile
 from .construct import (
     ConjugatedTriangulation,
     ValidationReport,
@@ -364,7 +363,7 @@ def evaluate_instance(
             report: ValidationReport = outcome.validation
         else:
             report = outcome
-        histogram = degree_profile(graph).histogram
+        histogram = Counter(graph.degrees)
         planarity = report.check("planarity").status
         failures = [c.name for c in report.checks if c.status == "fail"]
 

@@ -8,12 +8,14 @@ by independent scans written differently from the library code.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from conjtri.abstract_r import (
     ARC_TOTAL,
-    AbstractDigraph,
+    AdjacencyMatrix,
+    canonical_form,
     check_r_requirements,
     chi_of_candidate,
     directed_girth,
@@ -27,9 +29,9 @@ from conjtri.abstract_r import (
     rho,
     TERMWISE_TARGETS,
 )
-from conjtri.graphs import AdjacencyMatrix, Digraph, UndirectedGraph
+from conjtri.graphs import UndirectedGraph
 
-from oracles import isomorphic_brute
+from oracles import digraph_isomorphic_brute, isomorphic_brute
 
 
 def _matrix(rows: list[list[int]]) -> AdjacencyMatrix:
@@ -48,13 +50,13 @@ DOUBLED_PATH = _matrix(
 
 class TestRequirements:
     def test_doubled_triangle_passes_everything(self):
-        report = check_r_requirements(AbstractDigraph.from_matrix(DOUBLED_TRIANGLE))
+        report = check_r_requirements(DOUBLED_TRIANGLE)
         assert report.passed
         assert report.failures() == ()
         assert report.directed_girth == 2  # opposite arcs form 2-cycles
 
     def test_doubled_edge_fails_total_triangle_and_degree(self):
-        report = check_r_requirements(AbstractDigraph.from_matrix(DOUBLED_EDGE))
+        report = check_r_requirements(DOUBLED_EDGE)
         assert not report.passed
         assert set(report.failures()) == {
             "r1_arc_total",
@@ -67,7 +69,7 @@ class TestRequirements:
 
     @pytest.mark.parametrize("matrix", [DOUBLED_STAR, DOUBLED_PATH])
     def test_doubled_trees_fail_only_on_triangles_and_degrees(self, matrix):
-        report = check_r_requirements(AbstractDigraph.from_matrix(matrix))
+        report = check_r_requirements(matrix)
         assert "r3_directed_triangle" in report.failures()
         assert "r5_degree_parity" in report.failures()
         assert report.requirement("r1_arc_total").ok
@@ -75,41 +77,39 @@ class TestRequirements:
         assert report.requirement("r4_row_col_match").ok
 
     def test_evidence_strings_present(self):
-        report = check_r_requirements(AbstractDigraph.from_matrix(DOUBLED_EDGE))
+        report = check_r_requirements(DOUBLED_EDGE)
         for req in report.requirements:
             assert req.evidence
 
     def test_r5_reading_is_recorded(self):
-        report = check_r_requirements(AbstractDigraph.from_matrix(DOUBLED_EDGE))
+        report = check_r_requirements(DOUBLED_EDGE)
         assert "even" in report.r5_reading and ">= 4" in report.r5_reading
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            check_r_requirements(
-                AbstractDigraph(Digraph(0, []), AdjacencyMatrix([]))
-            )
+            check_r_requirements(AdjacencyMatrix([]))
 
 
 class TestGirthAndTriangles:
     def test_pure_three_cycle(self):
-        d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = _matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert directed_girth(d) == 3
         assert find_directed_triangle(d) is not None
 
     def test_acyclic_has_no_girth(self):
-        d = Digraph(3, [(0, 1), (1, 2)])
+        d = _matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert directed_girth(d) is None
         assert find_directed_triangle(d) is None
 
     def test_two_cycle_girth(self):
-        assert directed_girth(DOUBLED_EDGE.to_digraph()) == 2
+        assert directed_girth(DOUBLED_EDGE) == 2
 
     def test_triangle_detection_ignores_two_cycles(self):
         # A digraph whose only cycles are 2-cycles has no directed triangle.
-        assert find_directed_triangle(DOUBLED_PATH.to_digraph()) is None
+        assert find_directed_triangle(DOUBLED_PATH) is None
 
     def test_girth_reported_alongside_requirements(self):
-        report = check_r_requirements(AbstractDigraph.from_matrix(DOUBLED_PATH))
+        report = check_r_requirements(DOUBLED_PATH)
         assert report.directed_girth == 2
 
 
@@ -147,9 +147,9 @@ class TestCandidateEnumeration:
         assert len(e3.passing) == 1
         assert len(e3.representatives) == 1
         survivor = e3.representatives[0]
-        assert survivor.matrix.entries == DOUBLED_TRIANGLE.entries
-        assert survivor.matrix.row_sums == (2, 2, 2)
-        assert survivor.matrix.col_sums == (2, 2, 2)
+        assert survivor.entries == DOUBLED_TRIANGLE.entries
+        assert survivor.row_sums == (2, 2, 2)
+        assert survivor.col_sums == (2, 2, 2)
 
     def test_k_out_of_range(self):
         for k in (0, 5, -1):
@@ -160,7 +160,7 @@ class TestCandidateEnumeration:
         # Six arcs contribute total degree 12; four vertices need >= 16.
         assert 2 * ARC_TOTAL < 4 * 4
         for m in matrices_with_total(4):
-            report = check_r_requirements(AbstractDigraph.from_matrix(m))
+            report = check_r_requirements(m)
             assert not report.requirement("r5_degree_parity").ok
 
     def test_full_rescan_with_independent_checkers(self):
@@ -208,8 +208,42 @@ class TestCandidateEnumeration:
         for k in (3, 4):
             for m in matrices_with_total(k):
                 mine = independent_pass(m)
-                lib = check_r_requirements(AbstractDigraph.from_matrix(m)).passed
+                lib = check_r_requirements(m).passed
                 assert mine == lib, m.entries
+
+
+class TestCanonicalForm:
+    """Isomorphism by relabelling agrees with the brute-force oracle."""
+
+    @staticmethod
+    def _agree(a: AdjacencyMatrix, b: AdjacencyMatrix) -> bool:
+        want = digraph_isomorphic_brute(a.order, a.arcs, b.order, b.arcs)
+        assert (canonical_form(a) == canonical_form(b)) == want, (a.entries, b.entries)
+        return want
+
+    def test_passing_candidates(self):
+        for k in (3, 4):
+            passing = enumerate_r_candidates(k).passing
+            for a, b in itertools.product(passing, repeat=2):
+                self._agree(a, b)
+
+    def test_fixed_seed_six_arc_pairs(self):
+        # Half the pairs are a matrix and a random relabelling of it, so
+        # both verdicts occur.
+        rng = random.Random(13)
+        pool = list(matrices_with_total(4))
+        verdicts = set()
+        for _ in range(500):
+            a = rng.choice(pool)
+            if rng.random() < 0.5:
+                b = rng.choice(pool)
+            else:
+                p = rng.sample(range(4), 4)
+                b = AdjacencyMatrix(
+                    [[a.entries[p[i]][p[j]] for j in range(4)] for i in range(4)]
+                )
+            verdicts.add(self._agree(a, b))
+        assert verdicts == {True, False}
 
 
 class TestCandidateInvariants:
@@ -220,10 +254,9 @@ class TestCandidateInvariants:
         assert chi_of_candidate(survivor) == 6  # any two of six arcs meet
 
     def test_doubled_edge_parameters(self):
-        ad = AbstractDigraph.from_matrix(DOUBLED_EDGE)
-        assert gamma_of_candidate(ad) == 2
-        assert rho(ad) == 2
-        assert chi_of_candidate(ad) == 2
+        assert gamma_of_candidate(DOUBLED_EDGE) == 2
+        assert rho(DOUBLED_EDGE) == 2
+        assert chi_of_candidate(DOUBLED_EDGE) == 2
 
     def test_rho_matches_shannon_consistency(self):
         # chi of the survivor hits the multigraph bound floor(3 * rho / 2).
@@ -231,20 +264,17 @@ class TestCandidateInvariants:
         assert chi_of_candidate(survivor) == (3 * rho(survivor)) // 2
 
     def test_underlying_simple_graph_of_doubled_path(self):
-        ad = AbstractDigraph.from_matrix(DOUBLED_PATH)
-        g = ad.underlying_simple_graph()
+        g = DOUBLED_PATH.underlying_simple_graph()
         assert g.vertex_count == 4
         assert set(g.edges) == {(0, 1), (1, 2), (2, 3)}
 
     def test_arc_conflict_graph_of_survivor_is_complete(self):
-        ad = AbstractDigraph.from_matrix(DOUBLED_TRIANGLE)
-        conflict = ad.arc_conflict_graph()
+        conflict = DOUBLED_TRIANGLE.arc_conflict_graph()
         assert conflict.vertex_count == 6
         assert conflict.edge_count == 15
 
     def test_total_degrees(self):
-        ad = AbstractDigraph.from_matrix(DOUBLED_STAR)
-        assert ad.total_degrees() == (6, 2, 2, 2)
+        assert DOUBLED_STAR.total_degrees() == (6, 2, 2, 2)
 
 
 def _support_graph(m: AdjacencyMatrix) -> UndirectedGraph:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import json
@@ -290,6 +291,22 @@ class TestEnumCommands:
     def test_enum_p4_full_includes_matrices(self, capsys):
         out = _run_json(capsys, ["enum-p4", "--full"])
         assert len(out["symmetric"]["matrices"]) == 20
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["enum-rk"], "a1d4b54e60aeccceb8aefdd32b1fa27aa71088bc2a949d830ea9296545520345"),
+            (
+                ["enum-p4", "--full"],
+                "806aff3d024d3698a0628759b8fe9208f23a6aa256e32913d02b7031729ad4f8",
+            ),
+        ],
+    )
+    def test_census_stdout_is_pinned(self, capsysbinary, argv, digest):
+        # The exact bytes the censuses print, so a change of candidate
+        # representation or isomorphism test cannot alter them unnoticed.
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest
 
 
 class TestScanAndGen:

@@ -532,7 +532,8 @@ def drawn_embedding(points, edges):
     g = UndirectedGraph(len(points), edges)
 
     def angle(v, eid):
-        w = g.other_endpoint(eid, v)
+        a, b = g.edges[eid - 1]
+        w = a + b - v
         return math.atan2(points[w][1] - points[v][1], points[w][0] - points[v][0])
 
     rot = RotationSystem(

@@ -26,8 +26,8 @@ class TestParsing:
 
     def test_edge_ids_follow_file_order(self):
         g, _ = _parse("p conj 3 2\ne 2 3\ne 1 2\n")
-        assert g.edge_by_id(1) == (1, 2)
-        assert g.edge_by_id(2) == (0, 1)
+        assert g.edges[0] == (1, 2)
+        assert g.edges[1] == (0, 1)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "c a comment\n\nc more\np conj 2 1\n\ne 1 2\nc trailing\n"
@@ -127,6 +127,23 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError) as info:
             _parse("p conj 2 1\ne 1 1\n")
         assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("p conj 4 4\ne 1 2\ne 2 2\ne 2 3\ne 3 4\n", 3, "loop at vertex 2"),
+            (
+                "p conj 4 4\ne 1 2\ne 2 3\ne 2 1\ne 3 4\n",
+                4,
+                "parallel edge 2 1, first at line 2",
+            ),
+        ],
+    )
+    def test_bad_edge_named_at_its_own_line_in_file_vertices(self, text, line, message):
+        with pytest.raises(GraphFormatError) as info:
+            _parse(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
 
     def test_not_utf8(self):
         with pytest.raises(GraphFormatError) as info:

@@ -7,6 +7,7 @@ same status, same witness, same node count.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -532,3 +533,20 @@ class TestCompiledReferences:
         assert result["calls"] >= 20_000
         assert result["refcounts_kept"]
         assert result["growth"] < 4096, f"{result['growth']} bytes retained"
+
+
+class TestPureReferences:
+    def test_calls_leave_nothing_for_the_cycle_collector(self):
+        # Satisfiable, unsatisfiable and budget-aborted searches alike must
+        # free their state by reference counting alone.
+        rng = random.Random(3)
+        cases = [(n, _random_masks(n, 0.5, rng), k) for n, k in ((8, 3), (9, 2), (12, 4))]
+        gc.collect()
+        gc.disable()
+        try:
+            for budget in (0, 3):
+                for n, masks, k in cases:
+                    _core_py.decide_coloring(n, masks, k, [-1] * n, budget)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
