@@ -7,12 +7,15 @@ one applies: a breadth-first 2-coloring either proves gamma = 2 or finds
 an odd cycle, so gamma >= 3; on a plane graph whose degrees are 2 and 4,
 a verified 3-coloring built from a 4-coloring of one face class (Tait,
 1880) then proves gamma = 3.  The edge chromatic number is settled the
-same way: the parity lemma, a lower-bound theorem, proves
-chi = Delta + 1; otherwise a verified Delta-edge-coloring found by
-Kempe-chain recoloring meets the Delta lower bound.  Search runs only for
-the values no certificate settles.
+same way.  A (Delta + 1)-edge-coloring built by the fan and path
+recoloring of Misra and Gries (1992), the constructive proof of Vizing's
+theorem, is the upper bound and its witness.  Where the parity lemma, a
+lower-bound theorem, proves chi = Delta + 1, that coloring settles chi;
+otherwise a verified Delta-edge-coloring found by Kempe-chain recoloring
+meets the Delta lower bound.  Search runs only for the values no
+certificate settles, and for chi only at k = Delta.
 Search budgets never produce wrong answers: an exhausted budget yields an
-indeterminate result carrying the best proven bounds.
+indeterminate result carrying the best proven bounds and their witness.
 """
 
 from __future__ import annotations
@@ -63,13 +66,15 @@ class ChromaticResult:
     """Outcome of an exact minimization.
 
     ``value`` is None when the search budget ran out; ``lower``/``upper``
-    are then the best proven bounds.  ``nodes`` counts search-tree nodes
-    over all decision calls, so it is identical across kernel backends.
-    ``certificate`` names what spared search work: a lower-bound theorem
-    that starts the search higher ("parity" at Delta + 1, "odd_cycle" at
-    3), or a verified witness that meets the lower bound, so that no search
-    runs ("kempe" at Delta, "bipartite" at 2, "tait" at 3).  It is None
-    when the search alone decided.
+    are then the best proven bounds, and ``witness`` is the upper bound's
+    witness when one is known (always, for ``chromatic_class``).  ``nodes``
+    counts search-tree nodes over all decision calls, so it is identical
+    across kernel backends.  ``certificate`` names what spared search work:
+    a lower-bound theorem met by a constructed witness, so that no search
+    runs ("parity" at Delta + 1 with the Misra-Gries witness), a lower-bound
+    theorem that starts the search higher ("odd_cycle" at 3), or a verified
+    witness that meets the lower bound ("kempe" at Delta, "bipartite" at 2,
+    "tait" at 3).  It is None when the search alone decided.
     """
 
     value: Optional[int]
@@ -422,6 +427,34 @@ def parity_proves_class_two(g: UndirectedGraph) -> bool:
     return low == 1 or (low == 0 and len(degrees) % 2 == 1)
 
 
+def _edge_color_table(g: UndirectedGraph, greedy: VertexColoring, k: int):
+    """The edge colors of ``greedy`` (vertex ``i`` is edge id ``i + 1``)
+    below ``k``, for the recoloring steps.  Returns ``color`` (by edge id,
+    -1 for uncolored), ``at`` (``at[v][c]``: the id of the edge colored c
+    at v, or 0), ``paint(eid, c)``, which recolors an edge (c = -1
+    uncolors it) and keeps both in step, and the ids of the edges left
+    uncolored, in id order."""
+    edges = g.edges
+    color = [-1] * (g.edge_count + 1)
+    at = [[0] * k for _ in range(g.vertex_count)]
+
+    def paint(eid: int, c: int) -> None:
+        u, v = edges[eid - 1]
+        if color[eid] >= 0:
+            at[u][color[eid]] = at[v][color[eid]] = 0
+        color[eid] = c
+        if c >= 0:
+            at[u][c] = at[v][c] = eid
+
+    uncolored = []
+    for eid, c in enumerate(greedy.colors, start=1):
+        if c < k:
+            paint(eid, c)
+        else:
+            uncolored.append(eid)
+    return color, at, paint, uncolored
+
+
 def kempe_edge_coloring(
     g: UndirectedGraph, greedy: VertexColoring
 ) -> tuple[Optional[EdgeColoring], int]:
@@ -448,23 +481,7 @@ def kempe_edge_coloring(
         state ^= (state << 5) & 0xFFFFFFFF
         return state % n
 
-    color = [-1] * (g.edge_count + 1)
-    at = [[0] * delta for _ in range(g.vertex_count)]  # at[v][c]: edge id or 0
-
-    def paint(eid: int, c: int) -> None:
-        u, v = g.edges[eid - 1]
-        if color[eid] >= 0:
-            at[u][color[eid]] = at[v][color[eid]] = 0
-        color[eid] = c
-        if c >= 0:
-            at[u][c] = at[v][c] = eid
-
-    queue = []
-    for eid, c in enumerate(greedy.colors, start=1):
-        if c < delta:
-            paint(eid, c)
-        else:
-            queue.append(eid)
+    color, at, paint, queue = _edge_color_table(g, greedy, delta)
     steps = 0
     while queue:
         if steps == KEMPE_STEPS_PER_EDGE * g.edge_count:
@@ -506,6 +523,80 @@ def kempe_edge_coloring(
     return witness, steps
 
 
+def misra_gries_edge_coloring(
+    g: UndirectedGraph, greedy: VertexColoring
+) -> VertexColoring:
+    """Complete the greedy line-graph coloring ``greedy`` (vertex ``i`` is
+    edge id ``i + 1``) to a (Delta + 1)-edge-coloring of the simple graph
+    ``g`` (Misra and Gries, 1992), returned in the same form.
+
+    When ``greedy`` uses at most Delta + 1 colors it is returned unchanged.
+    Otherwise edges it gives a color up to Delta keep it, and the others,
+    in id order, are colored one step each.  For an uncolored edge u v0,
+    the fan at u, grown in color order from the smallest color free at its
+    last vertex, is [v0, ..., vk]: each u vi (i >= 1) has a color free at
+    v(i-1), and no further vertex can be added.  With c the smallest color
+    free at u and d the smallest free at vk, the path from u whose edges
+    alternate d and c is swapped, which frees d at u.  The first fan vertex
+    w at which d is free, while [v0, ..., w] is still a fan, exists (if the
+    swap took d from vk, it freed c at the fan vertex before the one whose
+    edge was d).  Each u vi before w takes the color of the next, and u w
+    takes d.  A result that ``verify_edge_coloring`` rejects raises
+    AssertionError: the step cannot fail on a simple graph."""
+    delta = max(g.degrees, default=0)
+    if greedy.palette_size <= delta + 1:
+        return greedy
+    edges = g.edges
+    color, at, paint, uncolored = _edge_color_table(g, greedy, delta + 1)
+    for eid in uncolored:
+        u, v = edges[eid - 1]
+        at_u = at[u]
+        fan, fan_edges, members = [v], [eid], 1 << v
+        while True:
+            at_x = at[fan[-1]]
+            for c in range(delta + 1):
+                e = at_u[c]
+                if e and not at_x[c]:
+                    a, b = edges[e - 1]
+                    w = a + b - u
+                    if not members >> w & 1:
+                        fan.append(w)
+                        fan_edges.append(e)
+                        members |= 1 << w
+                        break
+            else:
+                break
+        c = at_u.index(0)
+        d = at[fan[-1]].index(0)
+        path, x, col = [], u, d
+        while at[x][col]:
+            path.append(at[x][col])
+            a, b = edges[path[-1] - 1]
+            x = a + b - x
+            col = c + d - col
+        for e in path:
+            paint(e, -1)
+        for i, e in enumerate(path):
+            paint(e, (c, d)[i % 2])
+        for j, w in enumerate(fan):
+            if j and at[fan[j - 1]][color[fan_edges[j]]]:
+                break  # [v0, ..., w] is no longer a fan
+            if not at[w][d]:
+                shifted = [color[e] for e in fan_edges[1 : j + 1]] + [d]
+                for e in fan_edges[1 : j + 1]:
+                    paint(e, -1)
+                for e, s in zip(fan_edges, shifted):
+                    paint(e, s)
+                break
+        if color[eid] < 0:
+            raise AssertionError(f"no fan vertex is free of color {d} at edge {eid}")
+    witness = VertexColoring(tuple(color[1:]), delta + 1)
+    bad = verify_edge_coloring(g, edge_coloring_of(witness))
+    if bad:
+        raise AssertionError(f"Misra-Gries coloring is improper at edges {bad}")
+    return witness
+
+
 def chromatic_class(
     g: UndirectedGraph,
     max_edges: int = DEFAULT_EDGE_CAP,
@@ -516,14 +607,16 @@ def chromatic_class(
 ) -> ChromaticResult:
     """Exact edge chromatic number, solved as vertex coloring of the line graph.
 
-    When the parity lemma proves chi = Delta + 1, the search starts there,
-    so the refutation of Delta colors is never run.  When the lemma is
-    silent and the greedy coloring uses more than Delta colors,
-    ``kempe_edge_coloring`` looks for a Delta-edge-coloring first; once
-    ``verify_edge_coloring`` accepts it, it proves chi = Delta, since the
-    edges at a vertex of degree Delta need Delta colors, and no search runs.
-    When the search runs out of budget, Vizing's theorem (chi <= Delta + 1
-    on a simple graph) caps the greedy upper bound.  ``lg`` is
+    ``misra_gries_edge_coloring`` completes the greedy coloring to at most
+    Delta + 1 colors, which is the upper bound and its witness in every
+    case.  When the parity lemma proves chi = Delta + 1, that coloring
+    settles chi and no search runs.  Otherwise the edges at a vertex of
+    degree Delta need Delta colors, so chi is Delta or Delta + 1.  When the
+    greedy coloring uses more than Delta colors, ``kempe_edge_coloring``
+    looks for a Delta-edge-coloring first; once ``verify_edge_coloring``
+    accepts it, it proves chi = Delta with no search.  Otherwise the search
+    runs at k = Delta alone; when it runs out of budget, the result is
+    [Delta, Delta + 1] with the Misra-Gries witness.  ``lg`` is
     ``line_graph_of(g)`` and ``greedy`` is ``greedy_coloring(lg)``
     when the caller already has them."""
     if g.edge_count > max_edges:
@@ -540,20 +633,23 @@ def chromatic_class(
         witness, _ = kempe_edge_coloring(g, greedy)
         if witness is not None and not verify_edge_coloring(g, witness):
             return ChromaticResult(delta, delta, delta, witness, 0, "kempe")
+    vizing = misra_gries_edge_coloring(g, greedy)
+    if parity:
+        k = delta + 1
+        return ChromaticResult(k, k, k, edge_coloring_of(vizing), 0, "parity")
     result = chromatic_number(
         lg,
         max_vertices=max_edges,
         node_budget=node_budget,
-        lower_bound=delta + 1 if parity else 0,
-        greedy=greedy,
+        lower_bound=delta,
+        greedy=vizing,
     )
     return ChromaticResult(
         result.value,
         result.lower,
-        min(result.upper, delta + 1),
-        None if result.witness is None else edge_coloring_of(result.witness),
+        result.upper,
+        edge_coloring_of(result.witness or vizing),
         result.nodes,
-        "parity" if parity else None,
     )
 
 
@@ -580,11 +676,13 @@ def verify_edge_coloring(g: UndirectedGraph, c: EdgeColoring) -> list[tuple[int,
     if missing:
         raise ValueError(f"coloring misses edges {missing}")
     bad = []
-    for v in range(g.vertex_count):
-        inc = g.incident_edge_ids[v]
+    for inc in g.incident_edge_ids:
+        seen = [c.colors[eid] for eid in inc]
+        if len(set(seen)) == len(seen):
+            continue  # no two edges here share a color
         for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
-                if c.colors[inc[i]] == c.colors[inc[j]]:
+                if seen[i] == seen[j]:
                     bad.append((inc[i], inc[j]))
     return sorted(set(bad))
 

@@ -132,7 +132,7 @@ def parse_graph_file(data: bytes) -> tuple[UndirectedGraph, Optional[RotationSys
     if bad is not None:
         raise GraphFormatError(
             rotation_lines[bad + 1],
-            f"rotation at vertex {bad} is not a permutation of its incident edges",
+            f"rotation at vertex {bad + 1} is not a permutation of its incident edges",
         )
     return graph, rotation
 

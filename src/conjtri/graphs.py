@@ -147,9 +147,6 @@ class UndirectedGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.incident_edge_ids))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
-
 
 @dataclass(frozen=True)
 class RotationSystem:

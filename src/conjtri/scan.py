@@ -44,7 +44,6 @@ from .coloring import (
     chromatic_number,
     coloring_bounds,
     decide_k_coloring,
-    edge_coloring_of,
     exhaustive_chromatic_number,
     greedy_coloring,
 )
@@ -442,22 +441,14 @@ def evaluate_instance(
     if "H11" in hypotheses:
         verdict, detail = _threshold_verdict(chi, EDGE_COLOR_TARGET, "chi")
         if chi.certificate == "parity":
-            if chi.exact:
-                detail += " (parity lemma lower bound, Vizing upper bound)"
-            else:
-                detail += f"; parity lemma lower bound {chi.lower}"
+            detail += " (parity lemma lower bound, Vizing upper bound)"
         elif chi.certificate == "kempe":
             detail += " (Kempe-chain witness, Delta lower bound)"
         if verdict == "pass":
-            # An aborted search leaves the greedy coloring, a witness only
-            # when it uses at most EDGE_COLOR_TARGET colors.
-            ec = chi.witness
-            if ec is None and lg_greedy.palette_size <= EDGE_COLOR_TARGET:
-                ec = edge_coloring_of(lg_greedy)
-            if ec is not None:
-                rec.witnesses["h11_edge_coloring"] = {
-                    str(eid): c for eid, c in sorted(ec.colors.items())
-                }
+            # chi.upper <= EDGE_COLOR_TARGET, and chi.witness meets chi.upper.
+            rec.witnesses["h11_edge_coloring"] = {
+                str(eid): c for eid, c in sorted(chi.witness.colors.items())
+            }
         rec.hypotheses["H11"] = {"verdict": verdict, "detail": detail}
 
     if "H12" in hypotheses:

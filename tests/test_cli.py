@@ -97,8 +97,10 @@ class TestBasicCommands:
         path = _write_graph(tmp_path / "g.conj", graph)
         out = _run_json(capsys, ["chi", "--input", path])
         assert (out["chi"], out["certificate"]) == (chi, certificate)
-        # A Kempe witness replaces the search; parity only starts it at 5.
-        assert (out["nodes"] == 0) == (certificate == "kempe")
+        # A Kempe witness, or parity with the Misra-Gries witness, replaces
+        # the search.
+        assert out["nodes"] == 0
+        assert len(set(out["witness"].values())) == chi
 
     def test_validate_output_is_bounded(self, tmp_path, capsys):
         # 16 bytes declaring 100,000 isolated vertices: every vertex fails

@@ -33,10 +33,12 @@ from conjtri.coloring import (
     chromatic_number,
     coloring_bounds,
     decide_k_coloring,
+    edge_coloring_of,
     exhaustive_chromatic_number,
     greedy_clique,
     greedy_coloring,
     kempe_edge_coloring,
+    misra_gries_edge_coloring,
     parity_proves_class_two,
     tait_coloring,
     two_coloring,
@@ -178,6 +180,11 @@ class TestChromaticClass:
         assert res.value is None
         assert (res.lower, res.upper) == (5, 6)
         assert res.lower <= chromatic_class(k6).value <= res.upper
+        # The upper bound's witness is the Misra-Gries completion.
+        greedy = greedy_coloring(line_graph_of(k6))
+        assert res.witness == edge_coloring_of(misra_gries_edge_coloring(k6, greedy))
+        assert verify_edge_coloring(k6, res.witness) == []
+        assert set(res.witness.colors.values()) == set(range(6))
         assert chromatic_class(UndirectedGraph(0, [])).upper == 0
 
 
@@ -192,6 +199,16 @@ def random_two_four_graph(rng, n_max=8):
         pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
         if len(pairs) == len(stubs) // 2 and all(u != v for u, v in pairs):
             return UndirectedGraph(n, sorted(pairs))
+
+
+def subdivided(g, times):
+    """``g`` with one degree-2 vertex put on each of its first ``times`` edges."""
+    n, edges = g.vertex_count, list(g.edges)
+    for i in range(times):
+        u, v = edges[i]
+        edges[i] = (u, n + i)
+        edges.append((n + i, v))
+    return UndirectedGraph(n + times, edges)
 
 
 def _kernel(impl_name):
@@ -242,15 +259,6 @@ class TestParityCertificate:
         assert fired > 10
 
     def test_two_four_rule(self, named_graphs):
-        def subdivided(g, times):
-            # Put one degree-2 vertex on each of the first ``times`` edges.
-            n, edges = g.vertex_count, list(g.edges)
-            for i in range(times):
-                u, v = edges[i]
-                edges[i] = (u, n + i)
-                edges.append((n + i, v))
-            return UndirectedGraph(n + times, edges)
-
         k5, octa = named_graphs["k5"], named_graphs["octahedron"]
         assert parity_proves_class_two(k5)  # |V2| = 0, |V4| = 5
         assert not parity_proves_class_two(octa)  # |V2| = 0, |V4| = 6
@@ -270,11 +278,15 @@ class TestParityCertificate:
         assert (res.value, res.lower, res.upper) == (5, 5, 5)
         assert res.certificate == "parity"
         assert verify_edge_coloring(k5, res.witness) == []
-        # Only the k = 5 decision ran: its node count is all there is.
+        # No decision ran: the witness is the Misra-Gries completion of the
+        # greedy coloring, which uses 7 colors, and searching costs nodes.
         lg = line_graph_of(k5)
-        _, _, five_nodes = decide_k_coloring(lg, 5)
-        assert res.nodes == five_nodes
-        assert chromatic_number(lg).nodes > res.nodes
+        greedy = greedy_coloring(lg)
+        assert greedy.palette_size == 7
+        assert res.witness == edge_coloring_of(misra_gries_edge_coloring(k5, greedy))
+        assert res.nodes == 0
+        assert decide_k_coloring(lg, 5)[2] > 0
+        assert chromatic_number(lg).nodes > 0
 
     def test_k5_node_count_is_backend_independent(self, monkeypatch):
         k5 = UndirectedGraph(5, list(itertools.combinations(range(5), 2)))
@@ -415,6 +427,113 @@ class TestKempeStep:
         assert any("Kempe" in d["hypotheses"]["H11"]["detail"] for d in one)
 
 
+def partial_edge_coloring(g, rng, share):
+    """A proper coloring of the line graph of ``g``: each edge, in random
+    order, takes with probability ``share`` a random color up to Delta that
+    its ends leave free.  The others get distinct colors above Delta, which
+    ``misra_gries_edge_coloring`` reads as uncolored."""
+    delta = max(g.degrees, default=0)
+    used = [set() for _ in range(g.vertex_count)]
+    colors = [0] * g.edge_count
+    spare = delta + 1
+    order = list(range(g.edge_count))
+    rng.shuffle(order)
+    for i in order:
+        u, v = g.edges[i]
+        free = sorted(set(range(delta + 1)) - used[u] - used[v])
+        if free and rng.random() < share:
+            colors[i] = rng.choice(free)
+            used[u].add(colors[i])
+            used[v].add(colors[i])
+        else:
+            colors[i], spare = spare, spare + 1
+    return VertexColoring(tuple(colors), max(colors, default=-1) + 1)
+
+
+def _check_misra_gries(g, start):
+    """Complete ``start`` and check the result; True when the completion
+    had edges to color."""
+    delta = max(g.degrees, default=0)
+    res = misra_gries_edge_coloring(g, start)
+    assert oracles.is_proper_edge_coloring(g.edges, res.colors)
+    assert res.palette_size <= delta + 1
+    assert all(0 <= c < res.palette_size for c in res.colors)
+    assert misra_gries_edge_coloring(g, start) == res
+    # A proper coloring with at most Delta + 1 colors comes back unchanged.
+    assert misra_gries_edge_coloring(g, res) is res
+    if start.palette_size <= delta + 1:
+        assert res is start
+        return False
+    return True
+
+
+class TestMisraGries:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from((0.0, 0.5, 0.9, 1.0)))
+    def test_completes_any_proper_partial_coloring(self, seed, share):
+        rng = random.Random(seed)
+        g = random_graph(rng, n_max=10, p=rng.random())
+        _check_misra_gries(g, partial_edge_coloring(g, rng, share))
+
+    def test_completes_every_connected_atlas_graph(self):
+        completed = 0
+        for n, edges in oracles.connected_atlas_graphs():
+            g = UndirectedGraph(n, edges)
+            delta = max(g.degrees, default=0)
+            uncolored = VertexColoring(
+                tuple(range(delta + 1, delta + 1 + g.edge_count)),
+                delta + 1 + g.edge_count,
+            )
+            greedy = greedy_coloring(line_graph_of(g))
+            assert _check_misra_gries(g, uncolored) == (g.edge_count > 0)
+            completed += _check_misra_gries(g, greedy)
+        # The graphs whose greedy line-graph coloring uses more than
+        # Delta + 1 colors.
+        assert completed == 36
+
+    def test_an_improper_result_raises(self, named_graphs, monkeypatch):
+        k5 = named_graphs["k5"]
+        monkeypatch.setattr(coloring, "verify_edge_coloring", lambda g, c: [(1, 2)])
+        with pytest.raises(AssertionError, match="improper"):
+            misra_gries_edge_coloring(k5, greedy_coloring(line_graph_of(k5)))
+        # chromatic_class does not fall back to the search.
+        with pytest.raises(AssertionError, match="improper"):
+            chromatic_class(k5)
+
+    def test_parity_instances_need_no_search(self, named_graphs, tait_recipe, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(core, "decide_coloring", refuse)
+        graphs = [named_graphs["k5"], subdivided(named_graphs["octahedron"], 1)]
+        graphs += [ct.graph for ct, _ in tait_recipe if parity_proves_class_two(ct.graph)]
+        completed = 0
+        for g in graphs:
+            assert parity_proves_class_two(g)
+            k = max(g.degrees) + 1
+            res = chromatic_class(g)
+            assert (res.value, res.lower, res.upper, res.nodes) == (k, k, k, 0)
+            assert res.certificate == "parity"
+            assert verify_edge_coloring(g, res.witness) == []
+            assert set(res.witness.colors.values()) == set(range(k))
+            completed += greedy_coloring(line_graph_of(g)).palette_size > k
+        assert len(graphs) > 20 and completed > 5
+
+    def test_star_lower_bound_skips_the_triangle_refutation(self):
+        # Parity is silent and the greedy line-graph coloring uses Delta = 4
+        # colors, but the greedy clique of the line graph is a triangle.
+        recipe = GenRecipe(inserts=(1,), subdivisions=(3,), replicates=33, base_seed=1)
+        iid, blob = generate_corpus(recipe)[-1]
+        assert iid == "gen-i1-s3-r32"
+        g = parse_graph_file(blob)[0]
+        lg = line_graph_of(g)
+        assert len(greedy_clique(lg)) == 3 < max(g.degrees) == 4
+        assert greedy_coloring(lg).palette_size == 4
+        res = chromatic_class(g)
+        assert (res.value, res.lower, res.upper, res.nodes) == (4, 4, 4, 0)
+        assert verify_edge_coloring(g, res.witness) == []
+
+
 class TestBounds:
     def test_brooks_general(self, named_graphs):
         assert coloring_bounds(named_graphs["petersen"]).brooks == 3
@@ -449,7 +568,7 @@ class TestGreedy:
             g = random_graph(rng)
             clique = greedy_clique(g)
             for u, v in itertools.combinations(clique, 2):
-                assert g.has_edge(u, v)
+                assert g.masks[u] >> v & 1
 
     def test_greedy_coloring_proper(self):
         rng = random.Random(41)

@@ -82,7 +82,7 @@ class TestParsing:
         with pytest.raises(GraphFormatError) as info:
             _parse(text + "r 99998 1\nr 99999 1 1\nr 100000 2\n")
         assert info.value.line == 5
-        assert "rotation at vertex 99998 is not a permutation" in str(info.value)
+        assert "rotation at vertex 99999 is not a permutation" in str(info.value)
 
 
 class TestParseErrors:
@@ -165,7 +165,7 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError) as info:
             _parse("p conj 4 1\ne 1 2\nr 1 1\nr 2 1\nr 4 1\n")
         assert info.value.line == 5
-        assert "rotation at vertex 3 is not a permutation" in str(info.value)
+        assert "rotation at vertex 4 is not a permutation" in str(info.value)
 
 
 class TestRoundTrip:

@@ -45,11 +45,6 @@ class TestUndirectedGraph:
         assert g.masks[1] == 0b1101
         assert g.incident_edge_ids[1] == (1, 2, 3)
 
-    def test_has_edge(self):
-        g = UndirectedGraph(3, [(0, 1)])
-        assert g.has_edge(1, 0)
-        assert not g.has_edge(1, 2)
-
     def test_masks_list_the_neighbors(self):
         rng = random.Random(5)
         for _ in range(50):

@@ -17,9 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 from conjtri.coloring import (
     ChromaticResult,
     EdgeColoring,
+    greedy_coloring,
+    misra_gries_edge_coloring,
     verify_edge_coloring,
 )
-from conjtri.construct import ConjugatedTriangulation, validate_conjugated
+from conjtri.construct import ConjugatedTriangulation, line_graph_of, validate_conjugated
 from conjtri.graphio import parse_graph_file, serialize_graph_file
 from conjtri.graphs import RotationSystem, UndirectedGraph
 from conjtri import scan as scan_module
@@ -60,6 +62,14 @@ def _octahedron() -> UndirectedGraph:
 
 def _k5() -> UndirectedGraph:
     return UndirectedGraph(5, list(itertools.combinations(range(5), 2)))
+
+
+def _k5_edge_subdivided_twice() -> UndirectedGraph:
+    """K5 with its edge 3-4 replaced by the path 3-5-6-4.  The parity lemma
+    is silent (two degree-2 vertices), but the five degree-4 vertices span
+    9 > 2 * 4 edges, so chi = 5, and the Kempe step gives up."""
+    edges = [e for e in itertools.combinations(range(5), 2) if e != (3, 4)]
+    return UndirectedGraph(7, edges + [(3, 5), (5, 6), (4, 6)])
 
 
 class TestGenRecipe:
@@ -259,29 +269,47 @@ class TestEvaluateInstance:
         assert "exhaustive oracle confirms gamma = 5" in rec.hypotheses["H10"]["detail"]
         assert rec.hypotheses["H11"]["verdict"] == "pass"  # chi(K5) = 5 <= 6
 
-    def test_parity_lemma_settles_chi_without_refutation(self):
-        rec = evaluate_instance("k5", _blob(_k5()), ("H11",), 2000, 60, 60)
-        assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
+    def test_parity_lemma_settles_chi_without_refutation(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "NODES_PER_MS", 1)  # one node per decision
+        # No search runs, so a budget of one node settles it too.
+        for timeout_ms in (2000, 1):
+            rec = evaluate_instance("k5", _blob(_k5()), ("H11",), timeout_ms, 60, 60)
+            assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
+            assert rec.nodes["chi"] == 0
+            assert rec.hypotheses["H11"] == {
+                "verdict": "pass",
+                "detail": "chi = 5 <= 6 (parity lemma lower bound, Vizing upper bound)",
+            }
+
+    def test_exhausted_budget_leaves_vizing_bounds_where_parity_is_silent(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(scan_module, "NODES_PER_MS", 1)  # one node per decision
+        g = _k5_edge_subdivided_twice()
+        rec = evaluate_instance("k5-s2", _blob(g), ("H11",), 1, 60, 60)
+        assert rec.valid
+        assert rec.chi == {"value": None, "lower": 4, "upper": 5}
+        assert rec.nodes["chi"] == 2  # the node that trips the budget counts
         assert rec.hypotheses["H11"] == {
             "verdict": "pass",
-            "detail": "chi = 5 <= 6 (parity lemma lower bound, Vizing upper bound)",
+            "detail": "chi upper bound 5 <= 6 (exact search aborted)",
         }
-
-    def test_parity_note_survives_an_exhausted_budget(self, monkeypatch):
-        monkeypatch.setattr(scan_module, "NODES_PER_MS", 1)  # one node per decision
-        rec = evaluate_instance("k5", _blob(_k5()), ("H11",), 1, 60, 60)
-        assert rec.chi["value"] is None and rec.chi["lower"] == 5
-        assert rec.hypotheses["H11"]["detail"].endswith("; parity lemma lower bound 5")
 
     def test_vizing_settles_h11_when_the_budget_is_exhausted(self, monkeypatch):
         monkeypatch.setattr(scan_module, "NODES_PER_MS", 1)  # one node per decision
-        rec = evaluate_instance("k5", _blob(_k5()), ("H11",), 1, 60, 60)
-        assert rec.chi == {"value": None, "lower": 5, "upper": 5}
+        g = _k5_edge_subdivided_twice()
+        rec = evaluate_instance("k5-s2", _blob(g), ("H11",), 1, 60, 60)
+        assert rec.chi == {"value": None, "lower": 4, "upper": 5}
         assert rec.hypotheses["H11"]["verdict"] == "pass"
-        assert rec.hypotheses["H11"]["detail"].endswith("; parity lemma lower bound 5")
-        # The greedy coloring of L(K5) uses 7 colors, so it witnesses nothing.
-        assert rec.bounds["greedy_edge"] == 7
-        assert rec.witnesses["h11_edge_coloring"] is None
+        # The greedy coloring of the line graph uses 6 colors; the witness
+        # is its Misra-Gries completion to Delta + 1 = 5.
+        assert rec.bounds["greedy_edge"] == 6
+        greedy = greedy_coloring(line_graph_of(g))
+        completed = misra_gries_edge_coloring(g, greedy).colors
+        colors = {int(eid): c for eid, c in rec.witnesses["h11_edge_coloring"].items()}
+        assert colors == dict(enumerate(completed, start=1))
+        assert set(colors.values()) == set(range(5))
+        assert verify_edge_coloring(g, EdgeColoring(colors, 5)) == []
 
     def test_no_parity_note_when_the_lemma_is_silent(self):
         rec = evaluate_instance("octa", _blob(_octahedron()), ("H11",), 2000, 60, 60)
@@ -326,7 +354,7 @@ class TestEvaluateInstance:
         rec = evaluate_instance(iid, blob, HYPOTHESES, 5000, 64, 64)
         assert rec.chi == {"value": 5, "lower": 5, "upper": 5}
         assert "parity lemma" in rec.hypotheses["H11"]["detail"]
-        assert rec.nodes["chi"] < 1000
+        assert rec.nodes["chi"] == 0
 
     def test_kempe_witness_settles_the_last_indeterminate_instance(self):
         # Refuting a 4-edge-coloring here used up the whole 500,001-node
@@ -495,6 +523,19 @@ class TestRunScan:
         _, report = small_scan
         expected = [iid for iid, _ in generate_corpus(SMALL_RECIPE)]
         assert [rec.id for rec in report.instances] == expected
+
+    def test_chi_never_searches(self, small_scan):
+        _, report = small_scan
+        assert all(rec.nodes["chi"] == 0 for rec in report.instances)
+        # Parity instances whose greedy line-graph coloring needs more than
+        # Delta + 1 colors, where the witness is built rather than searched.
+        built = [
+            rec
+            for rec in report.instances
+            if "parity" in rec.hypotheses["H11"]["detail"]
+            and rec.bounds["greedy_edge"] > max(rec.degree_histogram) + 1
+        ]
+        assert len(built) >= 2
 
     def test_summary_counts_match_instances(self, small_scan):
         _, report = small_scan
